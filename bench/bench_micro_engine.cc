@@ -82,9 +82,11 @@ void BM_RecvStreamReassemblyReversed(benchmark::State& state) {
     ByteCount delivered{};
     stream.SetSink([&delivered](ByteCount, std::span<const std::uint8_t> d,
                                 bool) { delivered += d.size(); });
+    const std::vector<std::uint8_t> payload(1300, 7);
     quic::StreamFrame frame;
     frame.stream_id = StreamId{3};
-    frame.data.assign(1300, 7);
+    frame.length = ByteCount{payload.size()};
+    frame.data = payload;
     for (int i = kChunks - 1; i >= 0; --i) {
       frame.offset = static_cast<ByteCount>(i) * 1300;
       stream.OnStreamFrame(frame);

@@ -54,10 +54,12 @@ void BM_HeaderEncodeDecode(benchmark::State& state) {
 BENCHMARK(BM_HeaderEncodeDecode);
 
 void BM_StreamFrameEncode(benchmark::State& state) {
+  const std::vector<std::uint8_t> payload(state.range(0), 0xAB);
   StreamFrame frame;
   frame.stream_id = StreamId{3};
   frame.offset = ByteCount{1 << 20};
-  frame.data.assign(state.range(0), 0xAB);
+  frame.length = ByteCount{payload.size()};
+  frame.data = payload;
   const Frame f{frame};
   for (auto _ : state) {
     BufWriter w(1500);
@@ -93,10 +95,12 @@ void BM_PayloadDecodeMixed(benchmark::State& state) {
   BufWriter w(1500);
   EncodeFrame(Frame{AckFrame{PathId{0}, 100, {{PacketNumber{90}, PacketNumber{100}}}}}, w);
   EncodeFrame(Frame{WindowUpdateFrame{StreamId{0}, ByteCount{1 << 24}}}, w);
+  const std::vector<std::uint8_t> payload(1200, 1);
   StreamFrame stream;
   stream.stream_id = StreamId{3};
   stream.offset = ByteCount{777777};
-  stream.data.assign(1200, 1);
+  stream.length = ByteCount{payload.size()};
+  stream.data = payload;
   EncodeFrame(Frame{stream}, w);
   for (auto _ : state) {
     std::vector<Frame> frames;

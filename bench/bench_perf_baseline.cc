@@ -63,10 +63,12 @@ double Median(std::vector<double> values) {
 }
 
 double WirePacketAssembleNs() {
+  const std::vector<std::uint8_t> payload(1300, 0xAB);
   quic::StreamFrame frame;
   frame.stream_id = StreamId{3};
   frame.offset = ByteCount{1 << 20};
-  frame.data.assign(1300, 0xAB);
+  frame.length = ByteCount{payload.size()};
+  frame.data = payload;
   const quic::Frame f{frame};
   quic::PacketHeader header;
   header.cid = 0x1234567890ABCDEFULL;

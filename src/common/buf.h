@@ -82,6 +82,11 @@ class BufWriter {
   }
   /// Append `len` zero bytes (PADDING frames, payload placeholders).
   void WriteZeroes(std::size_t len) { buf_.resize(buf_.size() + len, 0); }
+  /// Append `len` bytes for the caller to fill in place (a STREAM payload,
+  /// straight from its source); the span is valid until the next write.
+  std::span<std::uint8_t> AppendSpan(std::size_t len) {
+    return {Grow(len), len};
+  }
 
   std::size_t size() const { return buf_.size(); }
   bool empty() const { return buf_.empty(); }
@@ -176,12 +181,6 @@ class BufReader {
     std::span<const std::uint8_t> s;
     if (!ReadSpan(len, s)) return false;
     out.assign(s.begin(), s.end());
-    return true;
-  }
-
-  bool Skip(std::size_t len) {
-    if (remaining() < len) return false;
-    pos_ += len;
     return true;
   }
 

@@ -1,6 +1,8 @@
 // Abstract byte sources for transmit streams, shared by the QUIC and TCP
 // stacks. Large benchmark transfers synthesize data on the fly (O(window)
 // memory for a 20 MB download) while applications can send real buffers.
+// A source is immutable: QUIC keeps only STREAM frame descriptors and
+// re-reads the range into the packet for every (re)transmission.
 #pragma once
 
 #include <cstdint>
@@ -32,11 +34,8 @@ class PatternSource final : public SendSource {
   PatternSource(StreamId id, ByteCount size)
       : PatternSource(id.value(), size) {}
   ByteCount size() const override { return size_; }
-  void Read(ByteCount offset, std::span<std::uint8_t> out) const override {
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      out[i] = PatternByte(id_, offset + i);
-    }
-  }
+  /// Bulk fill: byte-for-byte PatternByte(id, offset + i).
+  void Read(ByteCount offset, std::span<std::uint8_t> out) const override;
 
  private:
   std::uint32_t id_;
@@ -48,11 +47,7 @@ class BufferSource final : public SendSource {
   explicit BufferSource(std::vector<std::uint8_t> data)
       : data_(std::move(data)) {}
   ByteCount size() const override { return ByteCount{data_.size()}; }
-  void Read(ByteCount offset, std::span<std::uint8_t> out) const override {
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      out[i] = data_[(offset + i).value()];
-    }
-  }
+  void Read(ByteCount offset, std::span<std::uint8_t> out) const override;
 
  private:
   std::vector<std::uint8_t> data_;

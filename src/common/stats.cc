@@ -1,7 +1,6 @@
 #include "common/stats.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 namespace mpq {
@@ -28,14 +27,6 @@ double Mean(const std::vector<double>& values) {
   double sum = 0.0;
   for (double v : values) sum += v;
   return sum / static_cast<double>(values.size());
-}
-
-double StdDev(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  const double mean = Mean(values);
-  double acc = 0.0;
-  for (double v : values) acc += (v - mean) * (v - mean);
-  return std::sqrt(acc / static_cast<double>(values.size()));
 }
 
 std::vector<CdfPoint> EmpiricalCdf(std::vector<double> values) {

@@ -19,9 +19,6 @@ double Median(std::vector<double> values);
 
 double Mean(const std::vector<double>& values);
 
-/// Population standard deviation.
-double StdDev(const std::vector<double>& values);
-
 /// One point of an empirical CDF.
 struct CdfPoint {
   double value = 0.0;

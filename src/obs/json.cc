@@ -378,7 +378,6 @@ class Parser {
 
 const std::string kEmptyString;
 const JsonValue::Array kEmptyArray;
-const JsonValue::Object kEmptyObject;
 
 }  // namespace
 
@@ -405,11 +404,6 @@ const std::string& JsonValue::AsString() const {
 const JsonValue::Array& JsonValue::AsArray() const {
   const Array* a = std::get_if<Array>(&value_);
   return a != nullptr ? *a : kEmptyArray;
-}
-
-const JsonValue::Object& JsonValue::AsObject() const {
-  const Object* o = std::get_if<Object>(&value_);
-  return o != nullptr ? *o : kEmptyObject;
 }
 
 const JsonValue* JsonValue::Find(std::string_view key) const {

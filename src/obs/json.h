@@ -78,7 +78,6 @@ class JsonValue {
   std::int64_t AsInt(std::int64_t fallback = 0) const;
   const std::string& AsString() const;  // empty string when not a string
   const Array& AsArray() const;        // empty array when not an array
-  const Object& AsObject() const;      // empty object when not an object
 
   /// Object member lookup; nullptr when absent or not an object.
   const JsonValue* Find(std::string_view key) const;

@@ -24,7 +24,7 @@ void WriteFrameFields(JsonWriter& writer, const quic::Frame& frame) {
         } else if constexpr (std::is_same_v<T, StreamFrame>) {
           writer.Key("stream").UInt(f.stream_id.value());
           writer.Key("offset").UInt(f.offset.value());
-          writer.Key("length").UInt(f.data.size());
+          writer.Key("length").UInt(f.length.value());
           writer.Key("fin").Bool(f.fin);
         } else if constexpr (std::is_same_v<T, WindowUpdateFrame>) {
           writer.Key("stream").UInt(f.stream_id.value());

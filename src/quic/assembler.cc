@@ -123,14 +123,16 @@ void PacketAssembler::MaybeScheduleAck(Path& path, bool out_of_order) {
 void PacketAssembler::SendAckOnlyPacket(Path& path) {
   if (!established_ || closed_) return;
   if (!path.receiver().AnythingToAck()) return;
-  std::vector<Frame> frames;
+  std::vector<Frame>& frames = single_frame_scratch_;
+  frames.clear();
   frames.emplace_back(BuildAck(paths_.at(path.id())));
   TransmitPacket(path, frames, /*retransmittable=*/false,
                  /*handshake_cleartext=*/false);
 }
 
 void PacketAssembler::SendPing(Path& path, bool track) {
-  std::vector<Frame> frames;
+  std::vector<Frame>& frames = single_frame_scratch_;
+  frames.clear();
   frames.emplace_back(PingFrame{});
   TransmitPacket(path, frames, /*retransmittable=*/track,
                  /*handshake_cleartext=*/false);
@@ -262,7 +264,6 @@ bool PacketAssembler::SendOnePacket(
     // concurrent objects progress together instead of serially.
     auto it = send_streams_.upper_bound(next_stream_to_serve_);
     if (it == send_streams_.end()) it = send_streams_.begin();
-    const StreamId first_served = it->first;
     bool any_progress = true;
     while (budget > kStreamFrameOverhead && any_progress) {
       any_progress = false;
@@ -287,10 +288,9 @@ bool PacketAssembler::SendOnePacket(
         assert(size <= budget);
         budget -= size;
         if (sent_stream_frames) sent_stream_frames->push_back(frame);
-        frames.emplace_back(std::move(frame));
+        frames.emplace_back(frame);
       }
     }
-    (void)first_served;
   }
 
   if (frames.empty()) return false;
@@ -330,7 +330,18 @@ void PacketAssembler::TransmitPacket(Path& path, std::vector<Frame>& frames,
   EncodeHeader(header, path.largest_acked(), writer);
   const std::size_t header_size = writer.size();
 
-  for (const Frame& frame : frames) EncodeFrame(frame, writer);
+  for (const Frame& frame : frames) {
+    const auto* stream = std::get_if<StreamFrame>(&frame);
+    if (stream == nullptr) {
+      EncodeFrame(frame, writer);
+      continue;
+    }
+    // A descriptor: the payload goes from the stream's source straight
+    // into the packet (new data, retransmissions and duplicates alike).
+    EncodeStreamFrameHeader(*stream, writer);
+    send_streams_.at(stream->stream_id)->source().Read(
+        stream->offset, writer.AppendSpan(stream->length.value()));
+  }
 
   const bool defer_seal = !handshake_cleartext && burst_depth_ > 0;
   if (!handshake_cleartext) {

@@ -57,7 +57,6 @@ class PacketAssembler {
   void SetTracer(ConnectionTracer* tracer) { tracer_ = tracer; }
   /// Install the sealing keys (ours; the dispatcher holds the opener).
   void SetSealer(std::unique_ptr<crypto::PacketProtection> seal);
-  bool HasKeys() const { return seal_ != nullptr; }
 
   /// Adopt a path: create its (unarmed) delayed-ACK timer and pacing
   /// bucket. Paths are never unregistered.
@@ -69,8 +68,9 @@ class PacketAssembler {
   void OnConnectionClosed();
 
   /// Assemble and transmit one packet on `path` from a piggybacked ACK,
-  /// control frames and stream data. Returns false if there was nothing
-  /// to send.
+  /// control frames and stream data — fresh, or the `duplicate_of`
+  /// descriptors; `sent_stream_frames` receives the descriptors sent.
+  /// Returns false if there was nothing to send.
   bool SendOnePacket(Path& path, bool include_stream_data,
                      const std::vector<StreamFrame>* duplicate_of,
                      std::vector<StreamFrame>* sent_stream_frames);
@@ -78,7 +78,8 @@ class PacketAssembler {
   void SendPing(Path& path, bool track);
   /// `frames` is consumed (retransmittable frames are moved into the sent-
   /// packet record) but the vector's allocation stays with the caller, so
-  /// per-packet scratch can be recycled.
+  /// per-packet scratch can be recycled. STREAM payloads are read from
+  /// their send stream's source while the packet is encoded.
   void TransmitPacket(Path& path, std::vector<Frame>& frames,
                       bool retransmittable, bool handshake_cleartext);
 
@@ -152,7 +153,10 @@ class PacketAssembler {
 
   // Recycled per-packet scratch. The capacity survives across packets so
   // the steady-state datapath allocates only the outgoing datagram itself.
+  // SendOnePacket fills one, SendAckOnlyPacket/SendPing the other; both
+  // are done with before TransmitPacket hands the datagram on.
   std::vector<Frame> send_frames_scratch_;
+  std::vector<Frame> single_frame_scratch_;
 
   /// One sealed-later packet of the current burst (see BeginBurst).
   struct PendingDatagram {

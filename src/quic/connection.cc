@@ -126,13 +126,6 @@ Path* Connection::GetPath(PathId id) {
   return it == paths_.end() ? nullptr : it->second.get();
 }
 
-std::vector<Path*> Connection::PathPointers() {
-  std::vector<Path*> out;
-  out.reserve(paths_.size());
-  for (auto& [id, path] : paths_) out.push_back(path.get());
-  return out;
-}
-
 std::unique_ptr<cc::CongestionController> Connection::MakeController() {
   switch (config_.congestion) {
     case CongestionAlgo::kOlia:
@@ -631,7 +624,8 @@ void Connection::TrySend() {
   for (int guard = 0; guard < 100000; ++guard) {
     const bool have_control = !control_.shared_empty();
     if (!have_control && !assembler_->AnyStreamHasData()) break;
-    std::vector<Path*> eligible;
+    std::vector<Path*>& eligible = eligible_scratch_;
+    eligible.clear();
     bool pacing_blocked = false;
     bool usable_exists = false;
     for (auto& [id, path] : paths_) {
@@ -675,7 +669,8 @@ void Connection::TrySend() {
       if (pacing_blocked) assembler_->ArmPaceTimer();
       break;
     }
-    std::vector<StreamFrame> sent_stream_frames;
+    std::vector<StreamFrame>& sent_stream_frames = sent_stream_frames_scratch_;
+    sent_stream_frames.clear();
     if (!assembler_->SendOnePacket(*paths_.at(chosen->id()),
                                    /*include_stream_data=*/true, nullptr,
                                    &sent_stream_frames)) {

@@ -199,7 +199,6 @@ class Connection : private RecoveryDelegate,
   std::unique_ptr<cc::CongestionController> MakeController();
   void TryAutoMigrate(Path& path);
   PathsFrame BuildPathsFrame() const;
-  std::vector<Path*> PathPointers();
   /// Drive the scheduler until windows/flow control/data run out.
   void TrySend();
   void EnqueueControl(Frame frame);
@@ -240,6 +239,10 @@ class Connection : private RecoveryDelegate,
   ConnectionTracer* tracer_ = nullptr;
   ConnectionStats stats_;
   bool in_try_send_ = false;
+  /// Recycled TrySend scratch (it never re-enters): the scheduler's
+  /// eligible paths and the last packet's STREAM descriptors.
+  std::vector<Path*> eligible_scratch_;
+  std::vector<StreamFrame> sent_stream_frames_scratch_;
   int migrations_ = 0;
   /// Recycled per-batch scratch for OnDatagramBatch (capacity survives
   /// across batches).

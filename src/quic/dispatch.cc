@@ -170,17 +170,18 @@ void FrameDispatcher::ProcessOpenedPacket(
   }
 }
 
-void FrameDispatcher::ProcessFrames(Path& path, std::vector<Frame>& frames) {
+void FrameDispatcher::ProcessFrames(Path& path,
+                                    const std::vector<Frame>& frames) {
   MPQ_PROF_SCOPE("dispatch/frames");
   if (tracer_ != nullptr) {
     for (const Frame& frame : frames) {
       tracer_->OnFrameReceived(sim_.now(), path.id(), frame);
     }
   }
-  for (Frame& frame : frames) {
+  for (const Frame& frame : frames) {
     if (delegate_.connection_closed()) return;
     std::visit(
-        [&](auto& f) {
+        [&](const auto& f) {
           using T = std::decay_t<decltype(f)>;
           if constexpr (std::is_same_v<T, AckFrame>) {
             delegate_.OnAckFrame(f);
@@ -246,7 +247,7 @@ RecvStream& FrameDispatcher::GetOrCreateRecvStream(StreamId id) {
   return *inserted_it->second;
 }
 
-void FrameDispatcher::OnStreamFrameReceived(StreamFrame& frame) {
+void FrameDispatcher::OnStreamFrameReceived(const StreamFrame& frame) {
   RecvStream& stream = GetOrCreateRecvStream(frame.stream_id);
   // Receive-side enforcement: data past the advertised limit is a
   // protocol violation and must be dropped BEFORE it reaches the stream —
@@ -265,7 +266,7 @@ void FrameDispatcher::OnStreamFrameReceived(StreamFrame& frame) {
              static_cast<unsigned long long>(cid_));
     return;
   }
-  total_highest_received_ += stream.OnStreamFrame(std::move(frame));
+  total_highest_received_ += stream.OnStreamFrame(frame);
 }
 
 }  // namespace mpq::quic

@@ -69,7 +69,6 @@ class FrameDispatcher {
   void SetTracer(ConnectionTracer* tracer) { tracer_ = tracer; }
   /// Install the opening keys (the peer's direction).
   void SetOpener(std::unique_ptr<crypto::PacketProtection> open);
-  bool HasKeys() const { return open_ != nullptr; }
   void SetStreamDataHandler(StreamDataHandler handler) {
     on_stream_data_ = std::move(handler);
   }
@@ -112,10 +111,10 @@ class FrameDispatcher {
   void ProcessOpenedPacket(Path& path, PathId pid, PacketNumber pn,
                            std::span<const std::uint8_t> plaintext,
                            const sim::Datagram& datagram);
-  /// Frames are consumed: stream payloads are moved out into the receive
-  /// streams rather than copied.
-  void ProcessFrames(Path& path, std::vector<Frame>& frames);
-  void OnStreamFrameReceived(StreamFrame& frame);
+  /// STREAM frames view the opened plaintext, which outlives this call
+  /// and no longer: receive streams copy only what they must buffer.
+  void ProcessFrames(Path& path, const std::vector<Frame>& frames);
+  void OnStreamFrameReceived(const StreamFrame& frame);
   RecvStream& GetOrCreateRecvStream(StreamId id);
 
   sim::Simulator& sim_;

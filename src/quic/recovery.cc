@@ -128,8 +128,8 @@ void RecoveryManager::RequeueLostFrames(PathId path,
             using T = std::decay_t<decltype(f)>;
             if constexpr (std::is_same_v<T, StreamFrame>) {
               count(frame);
-              delegate_.OnStreamFrameLost(f.stream_id, f.offset,
-                                          ByteCount{f.data.size()}, f.fin);
+              delegate_.OnStreamFrameLost(f.stream_id, f.offset, f.length,
+                                          f.fin);
             } else if constexpr (std::is_same_v<T, WindowUpdateFrame>) {
               // Values are monotonic; resending the same limit is safe and
               // refreshing it is better (the delegate freshens).
@@ -138,21 +138,15 @@ void RecoveryManager::RequeueLostFrames(PathId path,
             } else if constexpr (std::is_same_v<T, PathsFrame>) {
               count(frame);
               delegate_.RequeuePathsSnapshot();  // fresh snapshot
-            } else if constexpr (std::is_same_v<T, AddAddressFrame>) {
+            } else if constexpr (std::is_same_v<T, AddAddressFrame> ||
+                                 std::is_same_v<T, RemoveAddressFrame> ||
+                                 std::is_same_v<T, HandshakeFrame> ||
+                                 std::is_same_v<T, RstStreamFrame>) {
+              // Reliable control frames go back on the control queue as
+              // they are (it drains handshake cleartext ahead of stream
+              // data; an RST_STREAM abort notice is itself reliable).
               count(frame);
               delegate_.RequeueControlFrame(std::move(f));
-            } else if constexpr (std::is_same_v<T, RemoveAddressFrame>) {
-              count(frame);
-              delegate_.RequeueControlFrame(std::move(f));
-            } else if constexpr (std::is_same_v<T, HandshakeFrame>) {
-              // Lost handshake cleartext drains via the control queue,
-              // which the assembler serves ahead of stream data.
-              count(frame);
-              delegate_.RequeueControlFrame(std::move(f));
-            } else if constexpr (std::is_same_v<T, RstStreamFrame>) {
-              count(frame);
-              delegate_.RequeueControlFrame(f);  // the abort notice itself
-                                                 // is reliable
             }
             // PING / BLOCKED / CONNECTION_CLOSE: not worth retransmitting
             // (probe timers re-issue pings).

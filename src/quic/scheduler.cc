@@ -4,15 +4,18 @@
 
 namespace mpq::quic {
 
-std::vector<Path*> Scheduler::Candidates(const std::vector<Path*>& paths,
-                                         ByteCount bytes) {
-  std::vector<Path*> usable;
-  std::vector<Path*> failed;
-  for (Path* p : paths) {
-    if (!p->congestion().CanSend(bytes)) continue;
-    (p->Usable() ? usable : failed).push_back(p);
+std::vector<Path*>& Scheduler::Candidates(const std::vector<Path*>& paths,
+                                          ByteCount bytes) {
+  candidates_.clear();
+  for (const bool usable : {true, false}) {
+    for (Path* p : paths) {
+      if (p->Usable() == usable && p->congestion().CanSend(bytes)) {
+        candidates_.push_back(p);
+      }
+    }
+    if (!candidates_.empty()) break;
   }
-  return usable.empty() ? failed : usable;
+  return candidates_;
 }
 
 std::vector<Path*> Scheduler::DuplicationTargets(const std::vector<Path*>&,
@@ -26,7 +29,7 @@ bool Scheduler::WantsProbe(const Path&) const { return false; }
 
 Path* LowestRttScheduler::SelectPath(const std::vector<Path*>& paths,
                                      ByteCount bytes) {
-  std::vector<Path*> candidates = Candidates(paths, bytes);
+  const std::vector<Path*>& candidates = Candidates(paths, bytes);
   if (candidates.empty()) return nullptr;
   // Prefer measured paths by smoothed RTT; fall back to the lowest path
   // id (the initial path) when nothing is measured yet.
@@ -66,7 +69,7 @@ std::vector<Path*> LowestRttScheduler::DuplicationTargets(
 Path* PingFirstScheduler::SelectPath(const std::vector<Path*>& paths,
                                      ByteCount bytes) {
   last_reason_ = "ping-first";
-  std::vector<Path*> candidates = Candidates(paths, bytes);
+  const std::vector<Path*>& candidates = Candidates(paths, bytes);
   Path* best = nullptr;
   bool any_measured = false;
   for (Path* p : candidates) {
@@ -91,7 +94,7 @@ Path* PingFirstScheduler::SelectPath(const std::vector<Path*>& paths,
 Path* RoundRobinScheduler::SelectPath(const std::vector<Path*>& paths,
                                       ByteCount bytes) {
   last_reason_ = "round-robin";
-  std::vector<Path*> candidates = Candidates(paths, bytes);
+  std::vector<Path*>& candidates = Candidates(paths, bytes);
   if (candidates.empty()) return nullptr;
   std::sort(candidates.begin(), candidates.end(),
             [](const Path* a, const Path* b) { return a->id() < b->id(); });
@@ -105,7 +108,7 @@ Path* RoundRobinScheduler::SelectPath(const std::vector<Path*>& paths,
 Path* RedundantScheduler::SelectPath(const std::vector<Path*>& paths,
                                      ByteCount bytes) {
   last_reason_ = "redundant";
-  std::vector<Path*> candidates = Candidates(paths, bytes);
+  const std::vector<Path*>& candidates = Candidates(paths, bytes);
   if (candidates.empty()) return nullptr;
   Path* best = nullptr;
   for (Path* p : candidates) {

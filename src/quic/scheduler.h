@@ -59,11 +59,15 @@ class Scheduler {
   const char* last_reason() const { return last_reason_; }
 
  protected:
-  /// Candidates: usable, window room; falls back to failed paths.
-  static std::vector<Path*> Candidates(const std::vector<Path*>& paths,
-                                       ByteCount bytes);
+  /// Candidates: usable, window room; falls back to failed paths. The
+  /// list is member scratch, recycled across calls (one per packet).
+  std::vector<Path*>& Candidates(const std::vector<Path*>& paths,
+                                 ByteCount bytes);
 
   const char* last_reason_ = "none";
+
+ private:
+  std::vector<Path*> candidates_;
 };
 
 std::unique_ptr<Scheduler> MakeScheduler(SchedulerType type);

@@ -7,12 +7,6 @@ namespace mpq::quic {
 // ---------------------------------------------------------------------------
 // SendStream
 
-ByteCount SendStream::RetransmitBytesPending() const {
-  ByteCount total{};
-  for (const auto& [offset, length] : retransmit_) total += length;
-  return total;
-}
-
 bool SendStream::HasDataToSend(ByteCount connection_send_allowance) const {
   if (!retransmit_.empty() || fin_lost_) return true;
   if (next_offset_ < total_size()) {
@@ -31,42 +25,27 @@ SendStream::NextFrameResult SendStream::NextFrame(
   // 1. Retransmissions first: they consume no new flow-control credit and
   //    unblock the receiver fastest.
   if (!retransmit_.empty()) {
-    auto it = retransmit_.begin();
-    const ByteCount offset = it->first;
-    const ByteCount len = std::min<ByteCount>(it->second, max_payload);
-    frame.stream_id = id_;
-    frame.offset = offset;
-    frame.data.resize(len.value());
-    source_->Read(offset, frame.data);
+    const auto [offset, range] = *retransmit_.begin();
+    const ByteCount len = std::min<ByteCount>(range, max_payload);
+    retransmit_.erase(retransmit_.begin());
+    if (len < range) retransmit_.emplace(offset + len, range - len);
     // FIN rides along if this chunk reaches the end of the stream.
-    frame.fin = fin_lost_ && offset + len >= total_size();
-    if (frame.fin) fin_lost_ = false;
-    if (len == it->second) {
-      retransmit_.erase(it);
-    } else {
-      const ByteCount rest = it->second - len;
-      retransmit_.erase(it);
-      retransmit_.emplace(offset + len, rest);
-    }
+    const bool fin = fin_lost_ && offset + len >= total_size();
+    if (fin) fin_lost_ = false;
+    frame = {id_, offset, len, fin};
     return {true, ByteCount{0}};
   }
   if (fin_lost_) {
-    frame.stream_id = id_;
-    frame.offset = total_size();
-    frame.data.clear();
-    frame.fin = true;
     fin_lost_ = false;
+    frame = {id_, total_size(), ByteCount{0}, true};
     return {true, ByteCount{0}};
   }
 
   // 2. New data under stream + connection flow control.
   if (next_offset_ >= total_size()) {
     if (fin_sent_) return {};
-    frame.stream_id = id_;
-    frame.offset = next_offset_;
-    frame.data.clear();
-    frame.fin = true;
     fin_sent_ = true;
+    frame = {id_, next_offset_, ByteCount{0}, true};
     return {true, ByteCount{0}};
   }
   const ByteCount stream_allow =
@@ -77,12 +56,8 @@ SendStream::NextFrameResult SendStream::NextFrame(
       {max_payload, total_size() - next_offset_, stream_allow,
        connection_send_allowance});
   if (len == 0) return {};  // flow-control blocked
-  frame.stream_id = id_;
-  frame.offset = next_offset_;
-  frame.data.resize(len.value());
-  source_->Read(next_offset_, frame.data);
+  frame = {id_, next_offset_, len, next_offset_ + len >= total_size()};
   next_offset_ += len;
-  frame.fin = next_offset_ >= total_size();
   if (frame.fin) fin_sent_ = true;
   return {true, len};
 }
@@ -113,15 +88,6 @@ void SendStream::OnFrameLost(ByteCount offset, ByteCount length, bool fin) {
 // RecvStream
 
 ByteCount RecvStream::OnStreamFrame(const StreamFrame& frame) {
-  return OnStreamFrameImpl(frame, nullptr);
-}
-
-ByteCount RecvStream::OnStreamFrame(StreamFrame&& frame) {
-  return OnStreamFrameImpl(frame, &frame.data);
-}
-
-ByteCount RecvStream::OnStreamFrameImpl(const StreamFrame& frame,
-                                        std::vector<std::uint8_t>* movable) {
   if (frame.fin) {
     fin_known_ = true;
     final_size_ = frame.offset + frame.data.size();
@@ -152,12 +118,10 @@ ByteCount RecvStream::OnStreamFrameImpl(const StreamFrame& frame,
       return window_growth;
     }
 
-    std::vector<std::uint8_t> data;
-    if (movable != nullptr && skip == 0) {
-      data = std::move(*movable);
-    } else {
-      data.assign(frame.data.begin() + skip, frame.data.end());
-    }
+    // Out of order: the view dies with the packet, so this is the one
+    // place the payload is copied.
+    std::vector<std::uint8_t> data(frame.data.begin() + skip,
+                                   frame.data.end());
     // try_emplace leaves `data` intact when the offset is already present.
     auto [it, inserted] = segments_.try_emplace(start, std::move(data));
     if (inserted) {

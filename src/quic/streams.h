@@ -23,13 +23,6 @@ namespace mpq::quic {
 /// set to 16 MB for both TCP and QUIC".
 inline constexpr ByteCount kDefaultReceiveWindow{16 * 1024 * 1024};
 
-// Send sources live in common/source.h (they are shared with the TCP
-// baseline stack); re-exported here for the QUIC public API.
-using mpq::BufferSource;
-using mpq::PatternByte;
-using mpq::PatternSource;
-using mpq::SendSource;
-
 // ---------------------------------------------------------------------------
 // Send stream
 
@@ -55,13 +48,17 @@ class SendStream {
     ByteCount new_bytes{};
   };
 
-  /// Produce the next STREAM frame with payload of at most `max_payload`
-  /// bytes and consuming at most `connection_send_allowance` bytes of
+  /// Produce the next STREAM frame descriptor with at most `max_payload`
+  /// payload bytes, consuming at most `connection_send_allowance` bytes of
   /// *new* connection-level window (retransmitted bytes don't re-count).
-  /// Retransmission ranges are drained before new data.
+  /// Retransmission ranges are drained before new data. No bytes are read
+  /// here: the payload is read from source() when the frame is encoded.
   NextFrameResult NextFrame(ByteCount max_payload,
                             ByteCount connection_send_allowance,
                             StreamFrame& frame);
+
+  /// The immutable bytes behind every frame this stream produces.
+  const SendSource& source() const { return *source_; }
 
   /// Re-queue a lost frame's range for retransmission.
   void OnFrameLost(ByteCount offset, ByteCount length, bool fin);
@@ -91,8 +88,6 @@ class SendStream {
   ByteCount peer_max_stream_data_ = kDefaultReceiveWindow;
   // Pending retransmission ranges, keyed by offset (coalesced on insert).
   std::map<ByteCount, ByteCount> retransmit_;  // offset -> length
-
-  ByteCount RetransmitBytesPending() const;
 };
 
 // ---------------------------------------------------------------------------
@@ -117,11 +112,10 @@ class RecvStream {
   /// Process one STREAM frame. Returns the increase of this stream's
   /// highest-received offset (the amount of receive window newly consumed
   /// at connection level); 0 for pure duplicates. In-order data is handed
-  /// to the sink straight from the frame (no buffering copy); the rvalue
-  /// overload additionally moves out-of-order payloads into the
-  /// reassembly buffer instead of copying them.
+  /// to the sink straight from the frame's view (no copy); only a segment
+  /// that must wait for a gap is copied, into the reassembly buffer — the
+  /// view dies with the packet.
   ByteCount OnStreamFrame(const StreamFrame& frame);
-  ByteCount OnStreamFrame(StreamFrame&& frame);
 
   StreamId id() const { return id_; }
   ByteCount delivered_offset() const { return delivered_; }
@@ -135,10 +129,6 @@ class RecvStream {
   ByteCount buffered_bytes() const { return buffered_; }
 
  private:
-  /// `movable` is non-null when the caller donates the frame's payload
-  /// vector (rvalue overload) — buffering may then steal it.
-  ByteCount OnStreamFrameImpl(const StreamFrame& frame,
-                              std::vector<std::uint8_t>* movable);
   void DeliverInOrder();
 
   StreamId id_;

@@ -1,5 +1,6 @@
 #include "quic/wire.h"
 
+#include <cassert>
 #include <string>
 
 namespace mpq::quic {
@@ -194,7 +195,7 @@ std::size_t FrameWireSize(const Frame& frame) {
     }
     std::size_t operator()(const StreamFrame& f) const {
       return 1 + VarintSize(f.stream_id.value()) + VarintSize(f.offset.value()) +
-             VarintSize(f.data.size()) + 1 + f.data.size();
+             VarintSize(f.length.value()) + 1 + f.length.value();
     }
   };
   return std::visit(Visitor{}, frame);
@@ -272,15 +273,20 @@ void EncodeFrame(const Frame& frame, BufWriter& out) {
       }
     }
     void operator()(const StreamFrame& f) const {
-      out.WriteU8(static_cast<std::uint8_t>(FrameType::kStream));
-      out.WriteVarint(f.stream_id.value());
-      out.WriteVarint(f.offset.value());
-      out.WriteVarint(f.data.size());
-      out.WriteU8(f.fin ? 1 : 0);
+      assert(f.data.size() == f.length.value());
+      EncodeStreamFrameHeader(f, out);
       out.WriteBytes(f.data);
     }
   };
   std::visit(Visitor{out}, frame);
+}
+
+void EncodeStreamFrameHeader(const StreamFrame& frame, BufWriter& out) {
+  out.WriteU8(static_cast<std::uint8_t>(FrameType::kStream));
+  out.WriteVarint(frame.stream_id.value());
+  out.WriteVarint(frame.offset.value());
+  out.WriteVarint(frame.length.value());
+  out.WriteU8(frame.fin ? 1 : 0);
 }
 
 bool DecodeFrame(BufReader& in, Frame& out) {
@@ -299,7 +305,6 @@ bool DecodeFrame(BufReader& in, Frame& out) {
     // The loop consumed one non-padding byte unless it hit the end — but
     // padding is only legal as trailing filler in this implementation, so
     // any non-zero byte after padding is malformed.
-    if (next != 0 && in.remaining() > 0) return false;
     if (next != 0) return false;
     out = padding;
     return true;
@@ -312,9 +317,11 @@ bool DecodeFrame(BufReader& in, Frame& out) {
     case FrameType::kConnectionClose: {
       ConnectionCloseFrame f;
       std::uint64_t len = 0;
-      if (!in.ReadU16(f.error_code) || !in.ReadVarint(len)) return false;
-      std::vector<std::uint8_t> reason;
-      if (!in.ReadBytes(len, reason)) return false;
+      std::span<const std::uint8_t> reason;
+      if (!in.ReadU16(f.error_code) || !in.ReadVarint(len) ||
+          !in.ReadSpan(len, reason)) {
+        return false;
+      }
       f.reason.assign(reason.begin(), reason.end());
       out = std::move(f);
       return true;
@@ -429,13 +436,14 @@ bool DecodeFrame(BufReader& in, Frame& out) {
       std::uint64_t sid = 0, off = 0, len = 0;
       std::uint8_t fin = 0;
       if (!in.ReadVarint(sid) || !in.ReadVarint(off) || !in.ReadVarint(len) ||
-          !in.ReadU8(fin) || !in.ReadBytes(len, f.data)) {
+          !in.ReadU8(fin) || !in.ReadSpan(len, f.data)) {
         return false;
       }
       f.stream_id = static_cast<StreamId>(sid);
       f.offset = ByteCount{off};
+      f.length = ByteCount{len};
       f.fin = fin != 0;
-      out = std::move(f);
+      out = f;
       return true;
     }
     default:
@@ -461,31 +469,13 @@ bool IsRetransmittable(const Frame& frame) {
 }
 
 const char* FrameTypeName(const Frame& frame) {
-  return std::visit(
-      [](const auto& f) -> const char* {
-        using T = std::decay_t<decltype(f)>;
-        if constexpr (std::is_same_v<T, PaddingFrame>) return "PADDING";
-        if constexpr (std::is_same_v<T, PingFrame>) return "PING";
-        if constexpr (std::is_same_v<T, ConnectionCloseFrame>) {
-          return "CONNECTION_CLOSE";
-        }
-        if constexpr (std::is_same_v<T, RstStreamFrame>) return "RST_STREAM";
-        if constexpr (std::is_same_v<T, WindowUpdateFrame>) {
-          return "WINDOW_UPDATE";
-        }
-        if constexpr (std::is_same_v<T, BlockedFrame>) return "BLOCKED";
-        if constexpr (std::is_same_v<T, HandshakeFrame>) return "HANDSHAKE";
-        if constexpr (std::is_same_v<T, AddAddressFrame>) {
-          return "ADD_ADDRESS";
-        }
-        if constexpr (std::is_same_v<T, RemoveAddressFrame>) {
-          return "REMOVE_ADDRESS";
-        }
-        if constexpr (std::is_same_v<T, PathsFrame>) return "PATHS";
-        if constexpr (std::is_same_v<T, AckFrame>) return "ACK";
-        if constexpr (std::is_same_v<T, StreamFrame>) return "STREAM";
-      },
-      frame);
+  // Indexed by the Frame variant's alternatives, in declaration order.
+  static constexpr const char* kNames[] = {
+      "PADDING",     "PING",           "CONNECTION_CLOSE", "RST_STREAM",
+      "WINDOW_UPDATE", "BLOCKED",      "HANDSHAKE",        "ADD_ADDRESS",
+      "REMOVE_ADDRESS", "PATHS",       "ACK",              "STREAM"};
+  static_assert(std::size(kNames) == std::variant_size_v<Frame>);
+  return kNames[frame.index()];
 }
 
 }  // namespace mpq::quic

@@ -182,11 +182,17 @@ struct AckFrame {
   }
 };
 
+/// STREAM frame (§2). The offset alone orders the bytes, so a sender keeps
+/// only this descriptor and rebuilds the frame from its immutable source,
+/// on any path (§3): `data` stays empty and the assembler reads the payload
+/// straight into the packet. DecodeFrame sets `data` to a view into the
+/// opened plaintext, valid only while that packet is processed.
 struct StreamFrame {
   StreamId stream_id{};
   ByteCount offset{};
+  ByteCount length{};  // payload bytes
   bool fin = false;
-  std::vector<std::uint8_t> data;
+  std::span<const std::uint8_t> data{};  // receive-side view, else empty
 };
 
 using Frame =
@@ -199,8 +205,13 @@ using Frame =
 /// frames into the MTU without trial encoding).
 std::size_t FrameWireSize(const Frame& frame);
 
-/// Append one frame.
+/// Append one frame. A STREAM frame's payload comes from its `data` view,
+/// which must hold exactly `length` bytes.
 void EncodeFrame(const Frame& frame, BufWriter& out);
+
+/// Append a STREAM frame's header only; the caller appends its `length`
+/// payload bytes right after it.
+void EncodeStreamFrameHeader(const StreamFrame& frame, BufWriter& out);
 
 /// Decode one frame. Returns false on malformed input.
 bool DecodeFrame(BufReader& in, Frame& out);

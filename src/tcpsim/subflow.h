@@ -192,7 +192,6 @@ class Subflow {
   void ScheduleAck(bool out_of_order);
   std::vector<SackBlock> BuildSackBlocks() const;
 
-  void ArmRtoTimer();
   void OnRtoTimer();
   Duration CurrentRto() const {
     return rtt_.Rto() << (rto_backoff_ > 6 ? 6 : rto_backoff_);

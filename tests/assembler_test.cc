@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "quic/control_queue.h"
 #include "quic/path.h"
 #include "quic/recovery.h"
+#include "quic/scheduler.h"
 #include "quic/stats.h"
 #include "quic/streams.h"
 #include "quic/wire.h"
@@ -89,7 +91,8 @@ struct Harness : AssemblerDelegate, RecoveryDelegate {
     const std::span<const std::uint8_t> all(payload);
     const PacketNumber pn = DecodePacketNumber(
         PacketNumber{0}, parsed.header.packet_number, parsed.pn_length);
-    std::vector<std::uint8_t> plaintext;
+    // Decoded STREAM frames view the plaintext: keep it past the return.
+    std::vector<std::uint8_t>& plaintext = last_plaintext;
     if (!opener->Open(parsed.header.multipath ? parsed.header.path_id
                                               : PathId{0},
                       pn, all.subspan(0, parsed.header_size),
@@ -138,6 +141,8 @@ struct Harness : AssemblerDelegate, RecoveryDelegate {
   PacketAssembler assembler;
   std::vector<std::unique_ptr<Path>> paths;
   std::vector<SentDatagram> sent;
+  /// Plaintext of the last DecodeLastPacket, which its frames view.
+  std::vector<std::uint8_t> last_plaintext;
   std::unique_ptr<crypto::PacketProtection> opener;
   int send_requests = 0;
   int packets_transmitted = 0;
@@ -311,6 +316,115 @@ TEST(AssemblerTest, ClosedAssemblerRefusesAckOnlySends) {
   h.assembler.SendAckOnlyPacket(path);
   h.sim.Run();
   EXPECT_TRUE(h.sent.empty());
+}
+
+// ---------------------------------------------------------------------------
+// STREAM frames by reference: the sender keeps only (stream, offset,
+// length, fin) and re-reads the immutable source for every transmission.
+
+/// The STREAM frames of the last captured packet, with their payloads
+/// copied out of the harness's plaintext.
+struct SentStreamData {
+  StreamFrame frame;
+  std::vector<std::uint8_t> bytes;
+};
+std::vector<SentStreamData> LastPacketStreamData(Harness& h) {
+  std::vector<SentStreamData> out;
+  for (const Frame& frame : h.DecodeLastPacket()) {
+    if (const auto* f = std::get_if<StreamFrame>(&frame)) {
+      out.push_back({*f, {f->data.begin(), f->data.end()}});
+      out.back().frame.data = {};
+    }
+  }
+  return out;
+}
+
+void ExpectPatternBytes(const SentStreamData& sent) {
+  ASSERT_EQ(sent.bytes.size(), sent.frame.length.value());
+  for (std::size_t i = 0; i < sent.bytes.size(); ++i) {
+    ASSERT_EQ(sent.bytes[i],
+              PatternByte(sent.frame.stream_id.value(), sent.frame.offset + i))
+        << "byte " << i;
+  }
+}
+
+TEST(StreamByReference, LostFrameResentOnOtherPathRereadsSource) {
+  Harness h;
+  Path& dead = h.AddPath(PathId{0}, {1, 0}, {2, 0});
+  Path& live = h.AddPath(PathId{1}, {1, 1}, {2, 1});
+  h.AddStream(StreamId{5}, ByteCount{3000});
+
+  std::vector<StreamFrame> first_sent;
+  ASSERT_TRUE(h.assembler.SendOnePacket(dead, true, nullptr, &first_sent));
+  ASSERT_EQ(first_sent.size(), 1u);
+  // What the sender keeps is a descriptor: no payload bytes.
+  EXPECT_TRUE(first_sent.front().data.empty());
+  EXPECT_GT(first_sent.front().length, 0u);
+  const std::vector<SentStreamData> original = LastPacketStreamData(h);
+  ASSERT_EQ(original.size(), 1u);
+
+  h.recovery.RequeueLostFrames(PathId{0},
+                               dead.OnRetransmissionTimeout(h.sim.now()));
+  ASSERT_TRUE(h.assembler.SendOnePacket(live, true, nullptr, nullptr));
+  EXPECT_EQ(h.sent.back().local, live.local_address());
+  const std::vector<SentStreamData> resent = LastPacketStreamData(h);
+  ASSERT_FALSE(resent.empty());
+  EXPECT_EQ(resent.front().frame.offset, ByteCount{0});
+  EXPECT_EQ(resent.front().frame.length, original.front().frame.length);
+  EXPECT_EQ(resent.front().bytes, original.front().bytes);
+
+  // The receiver sees the pattern, byte for byte, from the resent frame.
+  RecvStream receiver(StreamId{5});
+  std::vector<std::uint8_t> delivered;
+  receiver.SetSink([&](ByteCount, std::span<const std::uint8_t> data, bool) {
+    delivered.insert(delivered.end(), data.begin(), data.end());
+  });
+  StreamFrame view = resent.front().frame;
+  view.data = resent.front().bytes;
+  receiver.OnStreamFrame(view);
+  ASSERT_EQ(delivered.size(), resent.front().frame.length.value());
+  for (std::size_t i = 0; i < delivered.size(); ++i) {
+    ASSERT_EQ(delivered[i], PatternByte(5, ByteCount{i})) << "byte " << i;
+  }
+}
+
+TEST(StreamByReference, DuplicateEncodesSameBytes) {
+  // §3: data sent on the measured path is duplicated onto a path whose
+  // RTT is still unknown. The duplicate carries the same descriptors and
+  // must encode the same bytes, read again from the source.
+  Harness h;
+  Path& measured = h.AddPath(PathId{0}, {1, 0}, {2, 0});
+  Path& unknown = h.AddPath(PathId{1}, {1, 1}, {2, 1});
+  measured.rtt().AddSample(20 * kMillisecond, 0);
+  h.AddStream(StreamId{5}, ByteCount{1000});
+  h.AddStream(StreamId{7}, ByteCount{1000});
+
+  LowestRttScheduler scheduler;
+  const std::vector<Path*> eligible = {&measured, &unknown};
+  Path* chosen = scheduler.SelectPath(eligible, h.config.max_packet_size);
+  ASSERT_EQ(chosen, &measured);
+  const std::vector<Path*> targets =
+      scheduler.DuplicationTargets(eligible, chosen, h.config.max_packet_size);
+  ASSERT_EQ(targets, std::vector<Path*>{&unknown});
+
+  std::vector<StreamFrame> sent;
+  ASSERT_TRUE(h.assembler.SendOnePacket(*chosen, true, nullptr, &sent));
+  ASSERT_EQ(sent.size(), 2u);  // one chunk of each stream
+  const std::vector<SentStreamData> original = LastPacketStreamData(h);
+  ASSERT_TRUE(
+      h.assembler.SendOnePacket(*targets.front(), false, &sent, nullptr));
+  EXPECT_EQ(h.sent.back().local, unknown.local_address());
+  const std::vector<SentStreamData> duplicate = LastPacketStreamData(h);
+
+  ASSERT_EQ(duplicate.size(), original.size());
+  for (std::size_t i = 0; i < original.size(); ++i) {
+    EXPECT_EQ(duplicate[i].frame.stream_id, original[i].frame.stream_id);
+    EXPECT_EQ(duplicate[i].frame.offset, original[i].frame.offset);
+    EXPECT_EQ(duplicate[i].frame.length, original[i].frame.length);
+    EXPECT_EQ(duplicate[i].frame.fin, original[i].frame.fin);
+    EXPECT_EQ(duplicate[i].bytes, original[i].bytes);
+    ExpectPatternBytes(duplicate[i]);
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include "common/buf.h"
 #include "common/rng.h"
+#include "common/source.h"
 #include "common/stats.h"
 #include "common/types.h"
 
@@ -163,6 +164,47 @@ TEST(Varint, FuzzRoundTripAgainstRng) {
 TEST(Hex, FormatsBytes) {
   const std::uint8_t bytes[] = {0x00, 0xFF, 0x1A};
   EXPECT_EQ(ToHex({bytes, 3}), "00ff1a");
+}
+
+TEST(PatternSource, BulkReadMatchesPatternByte) {
+  // The bulk fill steps the pattern's mix per byte instead of calling
+  // PatternByte per byte; the two must agree everywhere, including for
+  // offsets past 2^32 (where the mix's high bits matter) and reads that
+  // straddle that boundary. BufferSource must return the same bytes as
+  // the pattern it was built from.
+  Rng rng(0x50A7CE);
+  for (int iter = 0; iter < 300; ++iter) {
+    const auto id = static_cast<std::uint32_t>(rng.NextU64());
+    const std::size_t len = rng.NextBounded(2001);  // 0..2000
+    ByteCount offset{rng.NextBounded(1ULL << 40)};
+    if (iter % 3 == 0) {
+      offset = ByteCount{(1ULL << 32) - rng.NextBounded(len + 1)};
+    }
+    const PatternSource source(id, offset + len);
+
+    BufWriter writer;
+    writer.WriteU8(0x5A);  // the fill lands after existing bytes
+    source.Read(offset, writer.AppendSpan(len));
+    ASSERT_EQ(writer.size(), len + 1);
+    ASSERT_EQ(writer.data()[0], 0x5A);
+    for (std::size_t i = 0; i < len; ++i) {
+      ASSERT_EQ(writer.data()[i + 1], PatternByte(id, offset + i))
+          << "iter " << iter << " byte " << i;
+    }
+
+    std::vector<std::uint8_t> bytes(len);
+    for (std::size_t i = 0; i < len; ++i) {
+      bytes[i] = PatternByte(id, ByteCount{i});
+    }
+    const BufferSource buffer(bytes);
+    const std::size_t start = rng.NextBounded(len + 1);
+    const std::size_t count = rng.NextBounded(len - start + 1);
+    std::vector<std::uint8_t> from_buffer(count);
+    std::vector<std::uint8_t> from_pattern(count);
+    buffer.Read(ByteCount{start}, from_buffer);
+    PatternSource(id, ByteCount{len}).Read(ByteCount{start}, from_pattern);
+    ASSERT_EQ(from_buffer, from_pattern) << "iter " << iter;
+  }
 }
 
 TEST(Rng, SameSeedSameSequence) {

@@ -33,8 +33,9 @@ namespace {
 
 // Mirror of the generator in wire_property_test.cc: a diverse valid
 // frame to seed mutations from. Kept local so the two tests stay
-// independently hackable.
-Frame RandomFrame(Rng& rng) {
+// independently hackable. A STREAM frame views `payload`, which the
+// caller keeps alive until the frame is encoded.
+Frame RandomFrame(Rng& rng, std::vector<std::uint8_t>& payload) {
   switch (rng.NextBounded(10)) {
     case 0: {
       StreamFrame f;
@@ -42,8 +43,10 @@ Frame RandomFrame(Rng& rng) {
           rng.NextBounded(1000) + 1)};
       f.offset = ByteCount{rng.NextBounded(1ULL << 40)};
       f.fin = rng.NextBool(0.2);
-      f.data.resize(rng.NextBounded(600));
-      for (auto& b : f.data) b = static_cast<std::uint8_t>(rng.NextU64());
+      payload.resize(rng.NextBounded(600));
+      for (auto& b : payload) b = static_cast<std::uint8_t>(rng.NextU64());
+      f.length = ByteCount{payload.size()};
+      f.data = payload;
       return f;
     }
     case 1: {
@@ -171,9 +174,10 @@ TEST(FuzzMutation, MutatedFramesNeverCrashDecoder) {
   Rng rng(0xF0552001);
   for (int iter = 0; iter < 4000; ++iter) {
     BufWriter writer;
+    std::vector<std::uint8_t> payload;
     const std::size_t count = rng.NextBounded(4) + 1;
     for (std::size_t i = 0; i < count; ++i) {
-      EncodeFrame(RandomFrame(rng), writer);
+      EncodeFrame(RandomFrame(rng, payload), writer);
     }
     std::vector<std::uint8_t> bytes(writer.data());
     MutateBytes(rng, bytes, rng.NextBounded(8) + 1);
@@ -185,7 +189,8 @@ TEST(FuzzMutation, EveryTruncationPrefixIsHandled) {
   Rng rng(0xF0552002);
   for (int iter = 0; iter < 200; ++iter) {
     BufWriter writer;
-    EncodeFrame(RandomFrame(rng), writer);
+    std::vector<std::uint8_t> payload;
+    EncodeFrame(RandomFrame(rng, payload), writer);
     const std::vector<std::uint8_t>& bytes = writer.data();
     for (std::size_t len = 0; len <= bytes.size(); ++len) {
       DecodeMustNotCrash(std::span<const std::uint8_t>(bytes.data(), len));

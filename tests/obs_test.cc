@@ -12,6 +12,7 @@
 #include "obs/qlog.h"
 #include "obs/trace_reader.h"
 #include "quic/trace.h"
+#include "quic/wire.h"
 
 namespace mpq::obs {
 namespace {
@@ -472,7 +473,9 @@ TEST(QlogTracer, EveryLineIsValidJson) {
     QlogTracer tracer(stream, "json\ncheck");
     tracer.OnHandshakeEvent(1, "chlo-sent");
     tracer.OnFrameSent(
-        2, PathId{0}, quic::Frame(quic::StreamFrame{StreamId{3}, ByteCount{0}, true, {0xff, 0x00}}));
+        2, PathId{0},
+        quic::Frame(quic::StreamFrame{StreamId{3}, ByteCount{0}, ByteCount{2},
+                                      true}));
     tracer.OnFrameSent(3, PathId{0},
                        quic::Frame(quic::ConnectionCloseFrame{7, "bye\"\n"}));
   }
@@ -483,6 +486,33 @@ TEST(QlogTracer, EveryLineIsValidJson) {
     EXPECT_TRUE(JsonValue::Parse(line).has_value()) << "line: " << line;
   }
   EXPECT_EQ(lines, 4u);  // preamble + 3 events
+}
+
+TEST(Qlog, SentStreamFrameLengthIsPayloadLength) {
+  // A sent STREAM frame is a descriptor: `length` says how many payload
+  // bytes the packet carries while `data` stays empty. Both the qlog
+  // event and the frame's wire size must come from `length`.
+  const quic::StreamFrame sent{StreamId{3}, ByteCount{70000}, ByteCount{1200},
+                               false};
+  ASSERT_TRUE(sent.data.empty());
+  EXPECT_EQ(quic::FrameWireSize(quic::Frame{sent}),
+            1 + VarintSize(3) + VarintSize(70000) + VarintSize(1200) + 1 +
+                1200);
+  std::stringstream stream;
+  {
+    QlogTracer tracer(stream, "descriptor");
+    tracer.OnFrameSent(1, PathId{0}, quic::Frame{sent});
+  }
+  std::string line;
+  std::getline(stream, line);  // preamble
+  ASSERT_TRUE(std::getline(stream, line));
+  const auto event = JsonValue::Parse(line);
+  ASSERT_TRUE(event.has_value()) << line;
+  const JsonValue* data = event->Find("data");
+  ASSERT_NE(data, nullptr) << line;
+  ASSERT_NE(data->Find("length"), nullptr) << line;
+  EXPECT_EQ(data->Find("length")->AsInt(), 1200);
+  EXPECT_EQ(data->Find("offset")->AsInt(), 70000);
 }
 
 TEST(TraceReader, RejectsMalformedAndTruncatedLines) {

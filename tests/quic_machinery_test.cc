@@ -3,7 +3,10 @@
 // control, per-path loss detection, and the scheduler strategies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "cc/newreno.h"
 #include "quic/ack_tracker.h"
@@ -129,6 +132,14 @@ TEST(AckTracker, LargestTimeTracked) {
 // ---------------------------------------------------------------------------
 // SendStream / RecvStream
 
+/// A receive-side STREAM frame: a view of `bytes`, as DecodeFrame yields
+/// one into the opened plaintext. `bytes` must outlive the frame's use.
+StreamFrame RecvFrame(ByteCount offset, std::span<const std::uint8_t> bytes,
+                      bool fin = false) {
+  return StreamFrame{StreamId{3}, offset, ByteCount{bytes.size()}, fin,
+                     bytes};
+}
+
 TEST(SendStream, ChunksRespectBudgets) {
   SendStream s(StreamId{3}, std::make_unique<PatternSource>(3, ByteCount{3000}));
   StreamFrame f;
@@ -139,10 +150,10 @@ TEST(SendStream, ChunksRespectBudgets) {
   EXPECT_FALSE(f.fin);
   r = s.NextFrame(ByteCount{1000}, ByteCount{500}, f);  // connection window only allows 500
   ASSERT_TRUE(r.produced);
-  EXPECT_EQ(f.data.size(), 500u);
+  EXPECT_EQ(f.length, 500u);
   r = s.NextFrame(ByteCount{5000}, ByteCount{100000}, f);
   ASSERT_TRUE(r.produced);
-  EXPECT_EQ(f.data.size(), 1500u);
+  EXPECT_EQ(f.length, 1500u);
   EXPECT_TRUE(f.fin);
   EXPECT_TRUE(s.AllDataSentOnce());
   EXPECT_FALSE(s.NextFrame(ByteCount{1000}, ByteCount{1000}, f).produced);  // nothing left
@@ -171,11 +182,11 @@ TEST(SendStream, RetransmitRangesTakePriorityAndCoalesce) {
   ASSERT_TRUE(r.produced);
   EXPECT_EQ(r.new_bytes, 0u);
   EXPECT_EQ(f.offset, 1000u);
-  EXPECT_EQ(f.data.size(), 1000u);
+  EXPECT_EQ(f.length, 1000u);
   r = s.NextFrame(ByteCount{2000}, ByteCount{0}, f);
   ASSERT_TRUE(r.produced);
   EXPECT_EQ(f.offset, 5000u);
-  EXPECT_EQ(f.data.size(), 100u);
+  EXPECT_EQ(f.length, 100u);
   EXPECT_FALSE(s.NextFrame(ByteCount{2000}, ByteCount{0}, f).produced);
 }
 
@@ -188,7 +199,7 @@ TEST(SendStream, LostFinIsRetransmitted) {
   ASSERT_TRUE(s.NextFrame(ByteCount{1000}, ByteCount{0}, f).produced);
   EXPECT_TRUE(f.fin);
   EXPECT_EQ(f.offset, 0u);
-  EXPECT_EQ(f.data.size(), 100u);
+  EXPECT_EQ(f.length, 100u);
 }
 
 TEST(SendStream, RetransmitChunkSplitKeepsRemainder) {
@@ -200,11 +211,11 @@ TEST(SendStream, RetransmitChunkSplitKeepsRemainder) {
   auto r = s.NextFrame(ByteCount{1200}, ByteCount{0}, f);
   ASSERT_TRUE(r.produced);
   EXPECT_EQ(f.offset, 0u);
-  EXPECT_EQ(f.data.size(), 1200u);
+  EXPECT_EQ(f.length, 1200u);
   r = s.NextFrame(ByteCount{5000}, ByteCount{0}, f);
   ASSERT_TRUE(r.produced);
   EXPECT_EQ(f.offset, 1200u);
-  EXPECT_EQ(f.data.size(), 1800u);
+  EXPECT_EQ(f.length, 1800u);
 }
 
 TEST(RecvStream, InOrderDelivery) {
@@ -217,15 +228,11 @@ TEST(RecvStream, InOrderDelivery) {
     delivered += data.size();
     done = fin;
   });
-  StreamFrame f;
-  f.stream_id = StreamId{3};
-  f.offset = ByteCount{0};
-  f.data = {1, 2, 3};
-  EXPECT_EQ(r.OnStreamFrame(f), 3u);
-  f.offset = ByteCount{3};
-  f.data = {4, 5};
-  f.fin = true;
-  EXPECT_EQ(r.OnStreamFrame(f), 2u);
+  const std::vector<std::uint8_t> first = {1, 2, 3};
+  const std::vector<std::uint8_t> second = {4, 5};
+  EXPECT_EQ(r.OnStreamFrame(RecvFrame(ByteCount{0}, first)), 3u);
+  EXPECT_EQ(r.OnStreamFrame(RecvFrame(ByteCount{3}, second, /*fin=*/true)),
+            2u);
   EXPECT_EQ(delivered, 5u);
   EXPECT_TRUE(done);
   EXPECT_TRUE(r.finished());
@@ -237,16 +244,12 @@ TEST(RecvStream, OutOfOrderBuffersThenDelivers) {
   r.SetSink([&](ByteCount, std::span<const std::uint8_t> data, bool) {
     delivered += data.size();
   });
-  StreamFrame f;
-  f.stream_id = StreamId{3};
-  f.offset = ByteCount{100};
-  f.data.assign(50, 7);
-  r.OnStreamFrame(f);
+  const std::vector<std::uint8_t> late(50, 7);
+  const std::vector<std::uint8_t> early(100, 8);
+  r.OnStreamFrame(RecvFrame(ByteCount{100}, late));
   EXPECT_EQ(delivered, 0u);
   EXPECT_EQ(r.buffered_bytes(), 50u);
-  f.offset = ByteCount{0};
-  f.data.assign(100, 8);
-  r.OnStreamFrame(f);
+  r.OnStreamFrame(RecvFrame(ByteCount{0}, early));
   EXPECT_EQ(delivered, 150u);
   EXPECT_EQ(r.buffered_bytes(), 0u);
 }
@@ -257,16 +260,48 @@ TEST(RecvStream, DuplicateAndOverlapHandled) {
   r.SetSink([&](ByteCount, std::span<const std::uint8_t> data, bool) {
     delivered += data.size();
   });
-  StreamFrame f;
-  f.stream_id = StreamId{3};
-  f.offset = ByteCount{0};
-  f.data.assign(100, 1);
-  EXPECT_EQ(r.OnStreamFrame(f), 100u);
-  EXPECT_EQ(r.OnStreamFrame(f), 0u);  // exact duplicate: no window growth
-  f.offset = ByteCount{50};
-  f.data.assign(100, 2);  // overlaps delivered prefix
-  EXPECT_EQ(r.OnStreamFrame(f), 50u);
+  const std::vector<std::uint8_t> ones(100, 1);
+  const std::vector<std::uint8_t> twos(100, 2);
+  EXPECT_EQ(r.OnStreamFrame(RecvFrame(ByteCount{0}, ones)), 100u);
+  // Exact duplicate: no window growth.
+  EXPECT_EQ(r.OnStreamFrame(RecvFrame(ByteCount{0}, ones)), 0u);
+  // Overlaps the delivered prefix.
+  EXPECT_EQ(r.OnStreamFrame(RecvFrame(ByteCount{50}, twos)), 50u);
   EXPECT_EQ(delivered, 150u);  // every byte delivered exactly once
+}
+
+TEST(RecvStream, OutOfOrderViewIsCopiedBeforeBufferReuse) {
+  // A received frame views the packet's plaintext, and the dispatcher
+  // reuses that buffer for the next packet. A segment buffered out of
+  // order must therefore be a copy: overwrite the buffer, then free it
+  // (ASan reports any read through a retained view), and the delivered
+  // bytes must still be the original ones.
+  RecvStream r(StreamId{3});
+  std::vector<std::uint8_t> got;
+  r.SetSink([&](ByteCount offset, std::span<const std::uint8_t> data, bool) {
+    EXPECT_EQ(offset, ByteCount{got.size()});
+    got.insert(got.end(), data.begin(), data.end());
+  });
+  auto packet = std::make_unique<std::vector<std::uint8_t>>(100);
+  for (std::size_t i = 0; i < packet->size(); ++i) {
+    (*packet)[i] = PatternByte(3, ByteCount{100 + i});
+  }
+  r.OnStreamFrame(RecvFrame(ByteCount{100}, *packet));
+  EXPECT_EQ(r.buffered_bytes(), 100u);
+  EXPECT_TRUE(got.empty());
+  std::fill(packet->begin(), packet->end(), std::uint8_t{0xEE});
+  packet.reset();
+
+  std::vector<std::uint8_t> head(100);
+  for (std::size_t i = 0; i < head.size(); ++i) {
+    head[i] = PatternByte(3, ByteCount{i});
+  }
+  r.OnStreamFrame(RecvFrame(ByteCount{0}, head, /*fin=*/false));
+  ASSERT_EQ(got.size(), 200u);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i], PatternByte(3, ByteCount{i})) << "byte " << i;
+  }
+  EXPECT_EQ(r.buffered_bytes(), 0u);
 }
 
 TEST(RecvStream, BareFinCompletesStream) {
@@ -275,16 +310,9 @@ TEST(RecvStream, BareFinCompletesStream) {
   r.SetSink([&](ByteCount, std::span<const std::uint8_t>, bool fin) {
     if (fin) done = true;
   });
-  StreamFrame data;
-  data.stream_id = StreamId{3};
-  data.offset = ByteCount{0};
-  data.data.assign(10, 1);
-  r.OnStreamFrame(data);
-  StreamFrame fin;
-  fin.stream_id = StreamId{3};
-  fin.offset = ByteCount{10};
-  fin.fin = true;
-  r.OnStreamFrame(fin);
+  const std::vector<std::uint8_t> data(10, 1);
+  r.OnStreamFrame(RecvFrame(ByteCount{0}, data));
+  r.OnStreamFrame(RecvFrame(ByteCount{10}, {}, /*fin=*/true));
   EXPECT_TRUE(done);
   EXPECT_TRUE(r.finished());
 }
@@ -331,8 +359,8 @@ SentPacket MakeSent(PacketNumber pn, TimePoint t) {
   p.sent_time = t;
   p.bytes = ByteCount{1000};
   p.frames.push_back(StreamFrame{StreamId{3},
-                                 ByteCount{(pn.value() - 1) * 1000}, false,
-                                 std::vector<std::uint8_t>(100)});
+                                 ByteCount{(pn.value() - 1) * 1000},
+                                 ByteCount{100}, false});
   return p;
 }
 

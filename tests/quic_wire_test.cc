@@ -3,6 +3,8 @@
 // encoding up to the 256-range cap, and malformed-input rejection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "common/buf.h"
@@ -125,16 +127,47 @@ Frame RoundTrip(const Frame& in) {
 }
 
 TEST(Frames, StreamRoundTrip) {
+  const std::vector<std::uint8_t> payload = {1, 2, 3, 4, 5};
   StreamFrame f;
   f.stream_id = StreamId{3};
   f.offset = ByteCount{123456};
+  f.length = ByteCount{payload.size()};
   f.fin = true;
-  f.data = {1, 2, 3, 4, 5};
-  const auto out = std::get<StreamFrame>(RoundTrip(f));
+  f.data = payload;
+  // Decoded frames view the encoded bytes, so `w` must outlive `out`
+  // (RoundTrip's buffer would not).
+  BufWriter w;
+  EncodeFrame(f, w);
+  EXPECT_EQ(w.size(), FrameWireSize(f));
+  BufReader r(w.span());
+  Frame decoded;
+  ASSERT_TRUE(DecodeFrame(r, decoded));
+  EXPECT_TRUE(r.AtEnd());
+  const auto out = std::get<StreamFrame>(decoded);
   EXPECT_EQ(out.stream_id, f.stream_id);
   EXPECT_EQ(out.offset, f.offset);
+  EXPECT_EQ(out.length, f.length);
   EXPECT_EQ(out.fin, f.fin);
-  EXPECT_EQ(out.data, f.data);
+  EXPECT_EQ(std::vector<std::uint8_t>(out.data.begin(), out.data.end()),
+            payload);
+  // The decoded payload is a view into the encoded bytes, not a copy.
+  EXPECT_EQ(out.data.data() + out.data.size(), w.span().data() + w.size());
+}
+
+TEST(Frames, StreamHeaderPlusPayloadEqualsWholeFrame) {
+  // The assembler encodes a descriptor's header and appends the payload
+  // from the source; that must be byte-identical to EncodeFrame.
+  const std::vector<std::uint8_t> payload = {9, 8, 7};
+  const StreamFrame f{StreamId{5}, ByteCount{70000}, ByteCount{3}, true,
+                      payload};
+  BufWriter whole;
+  EncodeFrame(f, whole);
+  BufWriter split;
+  EncodeStreamFrameHeader(f, split);
+  const std::span<std::uint8_t> room = split.AppendSpan(payload.size());
+  std::copy(payload.begin(), payload.end(), room.begin());
+  EXPECT_EQ(whole.data(), split.data());
+  EXPECT_EQ(whole.size(), FrameWireSize(f));
 }
 
 TEST(Frames, EmptyStreamFrameWithFin) {
@@ -144,6 +177,7 @@ TEST(Frames, EmptyStreamFrameWithFin) {
   f.fin = true;
   const auto out = std::get<StreamFrame>(RoundTrip(f));
   EXPECT_TRUE(out.data.empty());
+  EXPECT_EQ(out.length, 0u);
   EXPECT_TRUE(out.fin);
 }
 
@@ -281,7 +315,9 @@ TEST(Frames, PingAndBlockedRoundTrip) {
 TEST(Frames, PayloadWithTrailingPadding) {
   BufWriter w;
   EncodeFrame(PingFrame{}, w);
-  EncodeFrame(StreamFrame{StreamId{3}, ByteCount{0}, false, {1, 2}}, w);
+  const std::vector<std::uint8_t> payload = {1, 2};
+  EncodeFrame(
+      StreamFrame{StreamId{3}, ByteCount{0}, ByteCount{2}, false, payload}, w);
   EncodeFrame(PaddingFrame{100}, w);
   std::vector<Frame> frames;
   ASSERT_TRUE(DecodePayload(w.span(), frames));

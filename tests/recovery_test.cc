@@ -88,8 +88,8 @@ class RecoveryTest : public ::testing::Test {
     StreamFrame frame;
     frame.stream_id = id;
     frame.offset = offset;
+    frame.length = ByteCount{length};
     frame.fin = fin;
-    frame.data.assign(length, 0xAB);
     return frame;
   }
 

@@ -3,6 +3,7 @@
 // assembler's output shape) and header/PN truncation at random positions.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <vector>
 
 #include "common/rng.h"
@@ -11,15 +12,22 @@
 namespace mpq::quic {
 namespace {
 
-Frame RandomFrame(Rng& rng) {
+/// Random valid frame. A STREAM frame's payload is generated into a new
+/// buffer in `payloads` and the frame views it, so the frame stays valid
+/// as long as `payloads` does.
+Frame RandomFrame(Rng& rng,
+                  std::deque<std::vector<std::uint8_t>>& payloads) {
   switch (rng.NextBounded(9)) {
     case 0: {
       StreamFrame f;
       f.stream_id = static_cast<StreamId>(rng.NextBounded(1000) + 1);
       f.offset = ByteCount{rng.NextBounded(1ULL << 40)};
       f.fin = rng.NextBool(0.2);
-      f.data.resize(rng.NextBounded(1200));
-      for (auto& b : f.data) b = static_cast<std::uint8_t>(rng.NextU64());
+      std::vector<std::uint8_t>& payload =
+          payloads.emplace_back(rng.NextBounded(1200));
+      for (auto& b : payload) b = static_cast<std::uint8_t>(rng.NextU64());
+      f.length = ByteCount{payload.size()};
+      f.data = payload;
       return f;
     }
     case 1: {
@@ -102,7 +110,8 @@ bool FramesEqual(const Frame& a, const Frame& b) {
 TEST(WireProperty, RandomFrameRoundTripIdentity) {
   Rng rng(20170712);
   for (int iter = 0; iter < 5000; ++iter) {
-    const Frame original = RandomFrame(rng);
+    std::deque<std::vector<std::uint8_t>> payloads;
+    const Frame original = RandomFrame(rng, payloads);
     BufWriter writer;
     EncodeFrame(original, writer);
     ASSERT_EQ(writer.size(), FrameWireSize(original)) << "iter " << iter;
@@ -117,11 +126,12 @@ TEST(WireProperty, RandomFrameRoundTripIdentity) {
 TEST(WireProperty, RandomFrameBundlesRoundTrip) {
   Rng rng(99);
   for (int iter = 0; iter < 1000; ++iter) {
+    std::deque<std::vector<std::uint8_t>> payloads;
     std::vector<Frame> bundle;
     BufWriter writer;
     const std::size_t count = rng.NextBounded(6) + 1;
     for (std::size_t i = 0; i < count; ++i) {
-      bundle.push_back(RandomFrame(rng));
+      bundle.push_back(RandomFrame(rng, payloads));
       EncodeFrame(bundle.back(), writer);
     }
     // Optional trailing padding, as the packet assembler may emit.

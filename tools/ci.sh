@@ -10,7 +10,9 @@
 # the chaos sweep, the many-connection scale smoke (1000-connection
 # workload with a --jobs determinism check), the SIMD/scalar crypto
 # equivalence check (a -DMPQ_NO_SIMD build must digest-match the
-# vectorized build), and the perf-regression gate.
+# vectorized build), the benchmark's output checks on a traced bulk_mp
+# run (payload bytes and endpoint state digests), and the perf-regression
+# gate.
 #
 #   tools/ci.sh [--jobs N]
 #
@@ -140,6 +142,17 @@ cmp build/crypto_selftest.txt build-nosimd/crypto_selftest.txt
 # Belt and braces: the runtime kill switch must land on the same bytes.
 MPQ_NO_SIMD=1 ./build/bench/bench_micro_crypto --selftest \
   | cmp - build/crypto_selftest.txt
+
+# --- Stage 5d: benchmark output checks ----------------------------------
+# One short traced bulk_mp run of the benchmark (perfbench/README.md). It
+# exits non-zero unless every delivered payload byte matches the pattern
+# (memcmp against the expected payload) and the benchmark's own endpoint
+# wiring reproduces ClientEndpoint's transfer, StateDigest for
+# StateDigest. STREAM data travels by reference (descriptors on send,
+# views into the plaintext on receive), so a lifetime bug that corrupts
+# payload bytes fails here.
+echo "==> benchmark checks (perfbench bulk_mp, traced)"
+python3 perfbench/run.py --workload bulk_mp --seed 1 --seconds 2 --trace 1
 
 # --- Stage 6: perf-regression gate -------------------------------------
 # Re-measure the engine transfer (--quick skips the WSP sweeps) and

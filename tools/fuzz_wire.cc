@@ -100,11 +100,14 @@ void WriteSeeds(const fs::path& dir) {
   };
 
   {  // A mid-transfer STREAM frame with payload and fin.
+    std::vector<std::uint8_t> payload;
+    for (std::uint8_t i = 0; i < 32; ++i) payload.push_back(i);
     StreamFrame frame;
     frame.stream_id = StreamId{3};
     frame.offset = ByteCount{1200};
+    frame.length = ByteCount{payload.size()};
     frame.fin = true;
-    for (std::uint8_t i = 0; i < 32; ++i) frame.data.push_back(i);
+    frame.data = payload;
     BufWriter writer;
     EncodeFrame(frame, writer);
     write("stream", writer);

@@ -377,7 +377,7 @@ int SelfTest() {
   {
     obs::QlogTracer tracer(stream, "selftest \"quoted\"\n\ttitle");
     quic::Frame stream_frame =
-        quic::StreamFrame{StreamId{3}, ByteCount{0}, false, {1, 2, 3}};
+        quic::StreamFrame{StreamId{3}, ByteCount{0}, ByteCount{3}, false};
     quic::Frame ack = quic::AckFrame{
         PathId{0}, 25, {{PacketNumber{1}, PacketNumber{4}}}};
     tracer.OnHandshakeEvent(0, "chlo-sent");
