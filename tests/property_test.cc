@@ -99,6 +99,11 @@ struct AsymmetryCase {
   double queue_ms;
 };
 
+// Without this gtest prints the raw bytes of the case, including the
+// address of `name`, which changes with every run under ASLR and so gives
+// the discovered ctest names a different suffix each build.
+void PrintTo(const AsymmetryCase& c, std::ostream* os) { *os << c.name; }
+
 class AsymmetrySweep : public ::testing::TestWithParam<AsymmetryCase> {};
 
 TEST_P(AsymmetrySweep, MultipathProtocolsSurvive) {
