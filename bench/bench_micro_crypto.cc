@@ -3,17 +3,19 @@
 // path at MTU size (per SIMD dispatch level), the batched SealN path,
 // and the handshake key schedule.
 //
-//   --selftest   print a deterministic digest of seal/open/ChaCha20
-//                outputs over a length/path/pn sweep and exit. The
-//                output is independent of the active SIMD level by
-//                construction — ci.sh byte-compares it between the
-//                default build and a -DMPQ_NO_SIMD=ON build, which is
-//                the end-to-end "vector kernels are byte-identical to
-//                scalar" gate.
+//   --selftest   run a deterministic digest sweep of seal/open/ChaCha20
+//                outputs over lengths/paths/pns at every compiled SIMD
+//                level, exit 1 if any level differs from scalar, else
+//                print the scalar digests. ci.sh also byte-compares the
+//                output between the default build and a -DMPQ_NO_SIMD=ON
+//                build — together the end-to-end "vector kernels are
+//                byte-identical to scalar" gate.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "crypto/aead.h"
 #include "crypto/chacha20.h"
@@ -36,21 +38,22 @@ ChaChaKey TestKey() {
 
 // --- selftest --------------------------------------------------------------
 
-/// Deterministic digests over a sweep of lengths (crossing every SIMD
-/// width boundary: 4x64=256 for SSE2, 8x64=512 for AVX2, plus partial
-/// blocks and odd tails), paths (including >255, which exercises the
-/// full 32-bit path id in the nonce) and packet numbers.
-int RunSelftest() {
-  const std::size_t kLengths[] = {0,   1,   8,    15,   16,   63,  64,
-                                  65,  127, 128,  129,  255,  256, 257,
-                                  500, 511, 512,  513,  1023, 1024, 1025,
-                                  1350, 2048, 4096};
+/// Deterministic digests over a sweep of lengths (an ACK-sized 40 bytes,
+/// partial blocks and odd tails, and both sides of every 8-block batch
+/// boundary: 512, 1024, 1536), paths (including >255, which exercises
+/// the full 32-bit path id in the nonce) and packet numbers, at the
+/// active SIMD level. Returns false if an open round trip fails.
+bool SweepDigests(std::string& out) {
+  const std::size_t kLengths[] = {0,    1,    8,    15,   16,   40,   63,
+                                  64,   65,   127,  128,  129,  500,  511,
+                                  512,  513,  1023, 1024, 1025, 1350, 1535,
+                                  1536, 1537, 2048, 4096};
   SipHashKey digest_key{};
   for (std::size_t i = 0; i < digest_key.size(); ++i) {
     digest_key[i] = static_cast<std::uint8_t>(0xC5 ^ i);
   }
   const PacketProtection protection(TestKey());
-  std::printf("MPQ_CRYPTO_SELFTEST v1\n");
+  char line[96];
   for (const std::size_t len : kLengths) {
     std::vector<std::uint8_t> plaintext(len);
     for (std::size_t i = 0; i < len; ++i) {
@@ -75,29 +78,56 @@ int RunSelftest() {
     std::vector<std::uint8_t> opened;
     if (!protection.Open(path, pn, aad, sealed, opened) ||
         opened != plaintext) {
-      std::printf("len=%zu OPEN ROUNDTRIP FAILED\n", len);
-      return 1;
+      std::fprintf(stderr, "len=%zu level=%s OPEN ROUNDTRIP FAILED\n", len,
+                   SimdLevelName(ActiveSimdLevel()));
+      return false;
     }
-    std::printf("len=%zu chacha=%016llx seal=%016llx\n", len,
-                static_cast<unsigned long long>(cipher_digest),
-                static_cast<unsigned long long>(seal_digest));
+    std::snprintf(line, sizeof(line), "len=%zu chacha=%016llx seal=%016llx\n",
+                  len, static_cast<unsigned long long>(cipher_digest),
+                  static_cast<unsigned long long>(seal_digest));
+    out += line;
   }
   // Batched seal digest: 32 MTU packets through one SealN call.
-  {
-    std::vector<std::vector<std::uint8_t>> bufs;
-    std::vector<SealRequest> requests;
-    static std::uint8_t aad[14] = {9, 8, 7, 6, 5, 4, 3, 2, 1};
-    for (std::size_t i = 0; i < 32; ++i) {
-      bufs.emplace_back(1300 + kAeadTagSize,
-                        static_cast<std::uint8_t>(i * 11 + 1));
-      requests.push_back(SealRequest{PathId{static_cast<std::uint32_t>(i)},
-                                     PacketNumber{i + 1}, aad, bufs.back()});
-    }
-    protection.SealN(requests);
-    std::uint64_t digest = 0;
-    for (const auto& buf : bufs) digest ^= SipHash24(digest_key, buf);
-    std::printf("sealn32=%016llx\n", static_cast<unsigned long long>(digest));
+  std::vector<std::vector<std::uint8_t>> bufs;
+  std::vector<SealRequest> requests;
+  static std::uint8_t aad[14] = {9, 8, 7, 6, 5, 4, 3, 2, 1};
+  for (std::size_t i = 0; i < 32; ++i) {
+    bufs.emplace_back(1300 + kAeadTagSize,
+                      static_cast<std::uint8_t>(i * 11 + 1));
+    requests.push_back(SealRequest{PathId{static_cast<std::uint32_t>(i)},
+                                   PacketNumber{i + 1}, aad, bufs.back()});
   }
+  protection.SealN(requests);
+  std::uint64_t digest = 0;
+  for (const auto& buf : bufs) digest ^= SipHash24(digest_key, buf);
+  std::snprintf(line, sizeof(line), "sealn32=%016llx\n",
+                static_cast<unsigned long long>(digest));
+  out += line;
+  return true;
+}
+
+/// Run the sweep at every compiled-and-supported level; fail unless each
+/// matches the scalar digests, then print the scalar digests. stdout is
+/// therefore the same for every build and machine that passes.
+int RunSelftest() {
+  std::string scalar;
+  ForceSimdLevel(SimdLevel::kScalar);
+  if (!SweepDigests(scalar)) return 1;
+  for (int l = 1; l <= static_cast<int>(MaxSimdLevel()); ++l) {
+    const auto level = static_cast<SimdLevel>(l);
+    ForceSimdLevel(level);
+    std::string digests;
+    if (!SweepDigests(digests)) return 1;
+    if (digests != scalar) {
+      std::fprintf(stderr, "SIMD level %s digests differ from scalar\n",
+                   SimdLevelName(level));
+      return 1;
+    }
+    std::fprintf(stderr, "SIMD level %s matches scalar\n",
+                 SimdLevelName(level));
+  }
+  ForceSimdLevel(MaxSimdLevel());
+  std::printf("MPQ_CRYPTO_SELFTEST v2\n%s", scalar.c_str());
   // The level goes to stderr so stdout stays comparable across builds.
   std::fprintf(stderr, "active SIMD level: %s\n",
                SimdLevelName(ActiveSimdLevel()));
@@ -116,7 +146,31 @@ void BM_ChaCha20Xor(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_ChaCha20Xor)->Arg(64)->Arg(1350)->Arg(16384);
+BENCHMARK(BM_ChaCha20Xor)->Arg(40)->Arg(64)->Arg(1350)->Arg(16384);
+
+/// Per-dispatch-level ChaCha20 at MTU size: range(0) is the SimdLevel to
+/// force (0=scalar, 1=AVX2, 2=AVX-512VL); levels above the machine's
+/// maximum are skipped. Restores the default level afterwards.
+void BM_ChaCha20XorMtuLevel(benchmark::State& state) {
+  const auto level = static_cast<SimdLevel>(state.range(0));
+  if (level > MaxSimdLevel()) {
+    state.SkipWithError("SIMD level unavailable on this machine/build");
+    return;
+  }
+  ForceSimdLevel(level);
+  state.SetLabel(SimdLevelName(level));
+  const ChaChaKey key = TestKey();
+  const ChaChaNonce nonce{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12};
+  std::vector<std::uint8_t> data(1350, 0xAA);
+  for (auto _ : state) {
+    ChaCha20Xor(key, 1, nonce, data);
+    benchmark::DoNotOptimize(data.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * 1350);
+  ForceSimdLevel(MaxSimdLevel());
+}
+BENCHMARK(BM_ChaCha20XorMtuLevel)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_SipHash24(benchmark::State& state) {
   SipHashKey key{};
@@ -132,8 +186,8 @@ void BM_SipHash24(benchmark::State& state) {
 BENCHMARK(BM_SipHash24)->Arg(8)->Arg(64)->Arg(1350);
 
 /// Per-dispatch-level seal: range(0) is the SimdLevel to force
-/// (0=scalar, 1=SSE2, 2=AVX2); levels above the machine's maximum are
-/// skipped. Restores the default level afterwards.
+/// (0=scalar, 1=AVX2, 2=AVX-512VL); levels above the machine's maximum
+/// are skipped. Restores the default level afterwards.
 void BM_SealMtuPacketLevel(benchmark::State& state) {
   const auto level = static_cast<SimdLevel>(state.range(0));
   if (level > MaxSimdLevel()) {

@@ -19,9 +19,10 @@ namespace mpq::bench {
 
 /// Emit `"simd": {active_level, levels: {<name>: {aead_seal_ns,
 /// aead_open_ns}, ...}}` into `writer` (which must be inside an open
-/// object). Forces each compiled-and-supported level in turn and
-/// restores MaxSimdLevel() before returning — call it outside any timed
-/// leg.
+/// object). The levels are "scalar", "avx2" and "avx512vl", each listed
+/// only when compiled in and supported by the machine. Forces each level
+/// in turn and restores MaxSimdLevel() before returning — call it
+/// outside any timed leg.
 inline void WriteSimdBlock(obs::JsonWriter& writer) {
   using Clock = std::chrono::steady_clock;
   crypto::ChaChaKey key;

@@ -1,6 +1,5 @@
 #include "crypto/aead.h"
 
-#include <algorithm>
 #include <cstring>
 
 #include "obs/prof.h"
@@ -8,25 +7,6 @@
 namespace mpq::crypto {
 
 namespace {
-
-/// Fused-walk chunk: big enough that the SIMD kernels run at full width
-/// (a multiple of 8 ChaCha blocks), small enough that the ciphertext is
-/// still in L1 when the tag absorb re-reads it.
-constexpr std::size_t kFuseChunk = 1024;
-static_assert(kFuseChunk % kChaChaBlockSize == 0);
-
-/// Absorb the authenticated prefix `nonce | aad_len | aad` (the framing
-/// Tag() documents; the fused seal/open walks append the ciphertext).
-void AbsorbTagPrefix(SipHashState& state, const ChaChaNonce& nonce,
-                     std::span<const std::uint8_t> aad) {
-  state.Absorb(nonce);
-  std::uint8_t aad_len[8];
-  for (int i = 0; i < 8; ++i) {
-    aad_len[i] = static_cast<std::uint8_t>(aad.size() >> (8 * i));
-  }
-  state.Absorb(aad_len);
-  state.Absorb(aad);
-}
 
 std::uint64_t ReadTagLe(const std::uint8_t* tag_bytes) {
   std::uint64_t got = 0;
@@ -94,7 +74,13 @@ std::uint64_t PacketProtection::Tag(
   // Unambiguous framing: nonce | aad_len | aad | ciphertext, absorbed
   // incrementally — no per-packet material buffer.
   SipHashState state(tag_key_);
-  AbsorbTagPrefix(state, nonce, aad);
+  state.Absorb(nonce);
+  std::uint8_t aad_len[8];
+  for (int i = 0; i < 8; ++i) {
+    aad_len[i] = static_cast<std::uint8_t>(aad.size() >> (8 * i));
+  }
+  state.Absorb(aad_len);
+  state.Absorb(aad);
   state.Absorb(ciphertext);
   return state.Finalize();
 }
@@ -105,23 +91,10 @@ void PacketProtection::SealOne(PathId path, PacketNumber pn,
   MPQ_PROF_SCOPE("crypto/seal");
   const ChaChaNonce nonce = MakeNonce(path, pn);
   const std::span<std::uint8_t> text = buf.first(buf.size() - kAeadTagSize);
-
-  SipHashState tag_state(tag_key_);
-  AbsorbTagPrefix(tag_state, nonce, aad);
-  ChaCha20Ctx ctx;
-  ChaCha20Init(ctx, cipher_key_, 1, nonce);
-
-  // Fused walk: encrypt a chunk, then absorb the ciphertext into the tag
-  // while it is still cache-hot — one pass over the packet instead of two.
-  std::size_t offset = 0;
-  while (offset < text.size()) {
-    const std::size_t n = std::min(kFuseChunk, text.size() - offset);
-    const std::span<std::uint8_t> chunk = text.subspan(offset, n);
-    ChaCha20XorUpdate(ctx, chunk);
-    tag_state.Absorb(chunk);
-    offset += n;
-  }
-  WriteTagLe(buf.data() + text.size(), tag_state.Finalize());
+  // One vector cipher call for the whole packet, then the tag over the
+  // ciphertext while it is still in L1.
+  ChaCha20Xor(cipher_key_, 1, nonce, text);
+  WriteTagLe(buf.data() + text.size(), Tag(nonce, aad, text));
 }
 
 bool PacketProtection::OpenOne(PathId path, PacketNumber pn,
@@ -132,32 +105,15 @@ bool PacketProtection::OpenOne(PathId path, PacketNumber pn,
   if (buf.size() < kAeadTagSize) return false;
   const std::span<std::uint8_t> ciphertext =
       buf.first(buf.size() - kAeadTagSize);
-
   const ChaChaNonce nonce = MakeNonce(path, pn);
-  SipHashState tag_state(tag_key_);
-  AbsorbTagPrefix(tag_state, nonce, aad);
-  ChaCha20Ctx ctx;
-  ChaCha20Init(ctx, cipher_key_, 1, nonce);
-
-  // Optimistic fused walk: absorb the ciphertext chunk into the tag,
-  // then decrypt it in place — the verdict only lands at the end.
-  std::size_t offset = 0;
-  while (offset < ciphertext.size()) {
-    const std::size_t n = std::min(kFuseChunk, ciphertext.size() - offset);
-    const std::span<std::uint8_t> chunk = ciphertext.subspan(offset, n);
-    tag_state.Absorb(chunk);
-    ChaCha20XorUpdate(ctx, chunk);
-    offset += n;
-  }
-  const std::uint64_t expected = tag_state.Finalize();
-  // Constant-time comparison is irrelevant in a simulator but cheap.
-  if ((expected ^ ReadTagLe(buf.data() + ciphertext.size())) != 0) {
-    // Rare path: re-encrypt to hand the buffer back exactly as passed
-    // (XOR with the same keystream is involutive).
-    ChaCha20Init(ctx, cipher_key_, 1, nonce);
-    ChaCha20XorUpdate(ctx, ciphertext);
+  // Verify, then decrypt: a packet with a bad tag is never decrypted, so
+  // the buffer goes back exactly as passed. Constant-time comparison is
+  // irrelevant in a simulator but cheap.
+  if ((Tag(nonce, aad, ciphertext) ^
+       ReadTagLe(buf.data() + ciphertext.size())) != 0) {
     return false;
   }
+  ChaCha20Xor(cipher_key_, 1, nonce, ciphertext);
   plaintext_len = ciphertext.size();
   return true;
 }
@@ -184,10 +140,9 @@ bool PacketProtection::Open(PathId path, PacketNumber pn,
                             std::span<const std::uint8_t> sealed,
                             std::vector<std::uint8_t>& out) const {
   if (sealed.size() < kAeadTagSize) return false;
-  // Copy ciphertext | tag into the scratch and run the fused in-place
-  // open there: one walk decrypt+authenticate, and the caller's input
-  // stays pristine without a restore pass (on failure only `out` — whose
-  // contents are unspecified then — holds the restored ciphertext).
+  // Copy ciphertext | tag into the scratch and open it in place there,
+  // so the caller's input stays pristine (on failure `out` holds the
+  // ciphertext; its contents are unspecified then).
   out.assign(sealed.begin(), sealed.end());
   std::size_t plaintext_len = 0;
   if (!OpenOne(path, pn, aad, out, plaintext_len)) return false;

@@ -14,10 +14,10 @@
 // pairs can never collide into the same nonce even though every path
 // restarts its packet numbers at 1.
 //
-// Hot-path shape: seal and open walk each packet buffer once — the
-// ChaCha20 XOR (SIMD multi-block, crypto/cpu.h) and the SipHash tag
-// absorb are fused chunk by chunk so the ciphertext is hashed while it
-// is still cache-hot. SealN/OpenN batch N packets per call for the
+// Hot-path shape: one ChaCha20 call per packet (a single vector kernel
+// call for any length, crypto/cpu.h) and one SipHash pass over the
+// ciphertext, which is still in L1 by then. Open verifies the tag before
+// it decrypts. SealN/OpenN batch N packets per call for the
 // burst-oriented datapath (quic/assembler.h, quic/server.h).
 #pragma once
 
@@ -83,7 +83,7 @@ class PacketProtection {
   /// Verify and decrypt into `out` (a reused scratch vector — its capacity
   /// is recycled across packets). Returns false on a bad tag or truncated
   /// input; callers drop the packet. On failure `out`'s contents are
-  /// unspecified (the fused walk decrypts while it authenticates).
+  /// unspecified.
   bool Open(PathId path, PacketNumber pn, std::span<const std::uint8_t> aad,
             std::span<const std::uint8_t> sealed,
             std::vector<std::uint8_t>& out) const;
@@ -97,12 +97,11 @@ class PacketProtection {
                    std::span<const std::uint8_t> aad,
                    std::span<std::uint8_t> buf) const;
 
-  /// Zero-allocation open: `buf` holds ciphertext | tag. Verifies the tag
-  /// while decrypting (fused walk), leaving the plaintext in place;
-  /// `plaintext_len` receives buf.size() - kAeadTagSize. Returns false on
-  /// a bad tag or truncated input — the buffer is then restored to
-  /// exactly the bytes the caller passed (a failed decrypt never leaks
-  /// keystream).
+  /// Zero-allocation open: `buf` holds ciphertext | tag. Verifies the tag,
+  /// then decrypts, leaving the plaintext in place; `plaintext_len`
+  /// receives buf.size() - kAeadTagSize. Returns false on a bad tag or
+  /// truncated input — the buffer then still holds exactly the bytes the
+  /// caller passed (a packet that fails the tag is never decrypted).
   bool OpenInPlace(PathId path, PacketNumber pn,
                    std::span<const std::uint8_t> aad,
                    std::span<std::uint8_t> buf,

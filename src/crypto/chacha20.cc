@@ -1,6 +1,6 @@
 #include "crypto/chacha20.h"
 
-#include <bit>
+#include <algorithm>
 #include <cstring>
 
 #include "crypto/chacha20_impl.h"
@@ -50,56 +50,14 @@ inline void InitState(std::uint32_t state[16], const ChaChaKey& key,
   for (int i = 0; i < 3; ++i) state[13 + i] = LoadLe32(&nonce[4 * i]);
 }
 
-/// Scalar fallback: XOR `blocks` full keystream blocks into `data`,
-/// starting at state[12]; the caller advances the counter.
-void XorBlocksScalar(const std::uint32_t state[16], std::uint8_t* data,
-                     std::size_t blocks) {
-  for (std::size_t b = 0; b < blocks; ++b) {
-    std::uint32_t working[16];
-    std::memcpy(working, state, 16 * sizeof(std::uint32_t));
-    working[12] = state[12] + static_cast<std::uint32_t>(b);
-    for (int round = 0; round < 10; ++round) {
-      QuarterRound(working[0], working[4], working[8], working[12]);
-      QuarterRound(working[1], working[5], working[9], working[13]);
-      QuarterRound(working[2], working[6], working[10], working[14]);
-      QuarterRound(working[3], working[7], working[11], working[15]);
-      QuarterRound(working[0], working[5], working[10], working[15]);
-      QuarterRound(working[1], working[6], working[11], working[12]);
-      QuarterRound(working[2], working[7], working[8], working[13]);
-      QuarterRound(working[3], working[4], working[9], working[14]);
-    }
-    std::uint8_t* p = data + b * kChaChaBlockSize;
-    for (int i = 0; i < 16; ++i) {
-      std::uint32_t ks = working[i] + state[i];
-      if (i == 12) ks = working[12] + state[12] + static_cast<std::uint32_t>(b);
-      // XOR the keystream into the data word by word, without serializing
-      // it to a byte array first. On a little-endian host the native word
-      // layout *is* the RFC 8439 serialization.
-      if constexpr (std::endian::native == std::endian::little) {
-        std::uint32_t word;
-        std::memcpy(&word, p + 4 * i, sizeof(word));
-        word ^= ks;
-        std::memcpy(p + 4 * i, &word, sizeof(word));
-      } else {
-        p[4 * i] ^= static_cast<std::uint8_t>(ks);
-        p[4 * i + 1] ^= static_cast<std::uint8_t>(ks >> 8);
-        p[4 * i + 2] ^= static_cast<std::uint8_t>(ks >> 16);
-        p[4 * i + 3] ^= static_cast<std::uint8_t>(ks >> 24);
-      }
-    }
-  }
-}
-
-}  // namespace
-
-void ChaCha20Block(const ChaChaKey& key, std::uint32_t counter,
-                   const ChaChaNonce& nonce,
-                   std::array<std::uint8_t, kChaChaBlockSize>& out) {
-  std::uint32_t state[16];
-  InitState(state, key, counter, nonce);
-
+/// The scalar block function (RFC 8439 §2.3), the reference every vector
+/// level must match: serialize keystream block `counter` of `state`
+/// into `out`.
+void KeystreamBlock(const std::uint32_t state[16], std::uint32_t counter,
+                    std::uint8_t out[kChaChaBlockSize]) {
   std::uint32_t working[16];
-  std::memcpy(working, state, sizeof(state));
+  std::copy(state, state + 16, working);
+  working[12] = counter;
   for (int round = 0; round < 10; ++round) {
     QuarterRound(working[0], working[4], working[8], working[12]);
     QuarterRound(working[1], working[5], working[9], working[13]);
@@ -111,8 +69,42 @@ void ChaCha20Block(const ChaChaKey& key, std::uint32_t counter,
     QuarterRound(working[3], working[4], working[9], working[14]);
   }
   for (int i = 0; i < 16; ++i) {
-    StoreLe32(&out[4 * i], working[i] + state[i]);
+    const std::uint32_t input = i == 12 ? counter : state[i];
+    StoreLe32(&out[4 * i], working[i] + input);
   }
+}
+
+/// Scalar fallback: XOR `len` keystream bytes into `data`, one block at a
+/// time from state[12]; the caller advances the counter.
+void XorScalar(const std::uint32_t state[16], std::uint8_t* data,
+               std::size_t len) {
+  std::uint8_t keystream[kChaChaBlockSize];
+  for (std::uint32_t counter = state[12]; len > 0; ++counter) {
+    KeystreamBlock(state, counter, keystream);
+    const std::size_t n = std::min(len, kChaChaBlockSize);
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+      std::uint64_t word;
+      std::uint64_t key_word;
+      std::memcpy(&word, data + i, 8);
+      std::memcpy(&key_word, keystream + i, 8);
+      word ^= key_word;
+      std::memcpy(data + i, &word, 8);
+    }
+    for (; i < n; ++i) data[i] ^= keystream[i];
+    data += n;
+    len -= n;
+  }
+}
+
+}  // namespace
+
+void ChaCha20Block(const ChaChaKey& key, std::uint32_t counter,
+                   const ChaChaNonce& nonce,
+                   std::array<std::uint8_t, kChaChaBlockSize>& out) {
+  std::uint32_t state[16];
+  InitState(state, key, counter, nonce);
+  KeystreamBlock(state, counter, out.data());
 }
 
 void ChaCha20Init(ChaCha20Ctx& ctx, const ChaChaKey& key,
@@ -121,56 +113,28 @@ void ChaCha20Init(ChaCha20Ctx& ctx, const ChaChaKey& key,
 }
 
 void ChaCha20XorUpdate(ChaCha20Ctx& ctx, std::span<std::uint8_t> data) {
-  std::size_t blocks = data.size() / kChaChaBlockSize;
-  std::uint8_t* p = data.data();
-  const SimdLevel level = ActiveSimdLevel();
-
+  const std::size_t len = data.size();
+  // One block or less (ACK-only and PING packets) measures faster on the
+  // scalar block than on a whole 8-block vector batch.
+  const SimdLevel level =
+      len > kChaChaBlockSize ? ActiveSimdLevel() : SimdLevel::kScalar;
+  switch (level) {
+#if defined(MPQ_HAVE_AVX512VL)
+    case SimdLevel::kAvx512vl:
+      internal::ChaCha20XorAvx512vl(ctx.state, data.data(), len);
+      break;
+#endif
 #if defined(MPQ_HAVE_AVX2)
-  if (level >= SimdLevel::kAvx2 && blocks >= 8) {
-    const std::size_t n = blocks & ~std::size_t{7};
-    internal::ChaCha20XorBlocksAvx2(ctx.state, p, n);
-    ctx.state[12] += static_cast<std::uint32_t>(n);
-    p += n * kChaChaBlockSize;
-    blocks -= n;
-  }
+    case SimdLevel::kAvx2:
+      internal::ChaCha20XorAvx2(ctx.state, data.data(), len);
+      break;
 #endif
-#if defined(MPQ_HAVE_SSE2)
-  if (level >= SimdLevel::kSse2 && blocks >= 4) {
-    const std::size_t n = blocks & ~std::size_t{3};
-    internal::ChaCha20XorBlocksSse2(ctx.state, p, n);
-    ctx.state[12] += static_cast<std::uint32_t>(n);
-    p += n * kChaChaBlockSize;
-    blocks -= n;
+    default:
+      XorScalar(ctx.state, data.data(), len);
+      break;
   }
-#endif
-  (void)level;
-  if (blocks > 0) {
-    XorBlocksScalar(ctx.state, p, blocks);
-    ctx.state[12] += static_cast<std::uint32_t>(blocks);
-    p += blocks * kChaChaBlockSize;
-  }
-
-  // Trailing partial block (only legal as the end of the stream).
-  const std::size_t tail = data.size() % kChaChaBlockSize;
-  if (tail > 0) {
-    std::uint32_t working[16];
-    std::memcpy(working, ctx.state, sizeof(working));
-    for (int round = 0; round < 10; ++round) {
-      QuarterRound(working[0], working[4], working[8], working[12]);
-      QuarterRound(working[1], working[5], working[9], working[13]);
-      QuarterRound(working[2], working[6], working[10], working[14]);
-      QuarterRound(working[3], working[7], working[11], working[15]);
-      QuarterRound(working[0], working[5], working[10], working[15]);
-      QuarterRound(working[1], working[6], working[11], working[12]);
-      QuarterRound(working[2], working[7], working[8], working[13]);
-      QuarterRound(working[3], working[4], working[9], working[14]);
-    }
-    for (std::size_t i = 0; i < tail; ++i) {
-      const std::uint32_t ks = working[i / 4] + ctx.state[i / 4];
-      p[i] ^= static_cast<std::uint8_t>(ks >> (8 * (i % 4)));
-    }
-    ctx.state[12] += 1;
-  }
+  ctx.state[12] += static_cast<std::uint32_t>(
+      (len + kChaChaBlockSize - 1) / kChaChaBlockSize);
 }
 
 void ChaCha20Xor(const ChaChaKey& key, std::uint32_t initial_counter,

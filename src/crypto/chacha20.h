@@ -3,10 +3,14 @@
 // security caveat). Verified against the RFC 8439 test vectors in
 // tests/crypto_test.cc.
 //
-// The XOR path is vectorized: runtime CPU dispatch (crypto/cpu.h) picks
-// an AVX2 8-block or SSE2 4-block kernel, falling back to the scalar
-// single-block loop. Every level is byte-identical — the vector kernels
-// compute the same 32-bit additions/rotations lane-wise, and uint32
+// The XOR path is vectorized: one call covers any length with one
+// vertical 8-block kernel (whole 512-byte batches in place, the final
+// partial batch through a stack buffer), built for AVX-512VL and for
+// AVX2 and picked by runtime CPU dispatch (crypto/cpu.h). The scalar
+// block function is the portable reference and fallback, and also
+// serves inputs of one block or less, where it measures faster than a
+// whole vector batch. Every level is byte-identical — the kernel
+// computes the same 32-bit additions/rotations lane-wise, and uint32
 // wraparound is identical in scalar and SIMD registers.
 #pragma once
 
@@ -29,8 +33,8 @@ void ChaCha20Block(const ChaChaKey& key, std::uint32_t counter,
                    std::array<std::uint8_t, kChaChaBlockSize>& out);
 
 /// Streaming XOR context: the 16-word RFC 8439 state, set up once per
-/// message so the AEAD can interleave cipher and tag work chunk by chunk
-/// (the fused seal/open walk in aead.cc) without re-expanding the key.
+/// message so a message can be XORed in several calls without
+/// re-expanding the key.
 struct ChaCha20Ctx {
   std::uint32_t state[16];
 };
@@ -40,9 +44,10 @@ void ChaCha20Init(ChaCha20Ctx& ctx, const ChaChaKey& key,
                   std::uint32_t counter, const ChaChaNonce& nonce);
 
 /// XOR `data` in place with the next keystream bytes, advancing the block
-/// counter. Every call but the last must pass a multiple of
-/// kChaChaBlockSize bytes (a partial block ends the stream: the counter
-/// still advances past it, so only the final call may be partial).
+/// counter by ceil(data.size() / kChaChaBlockSize). Every call but the
+/// last must pass a multiple of kChaChaBlockSize bytes (a partial block
+/// ends the stream: the counter still advances past it, so only the
+/// final call may be partial).
 void ChaCha20XorUpdate(ChaCha20Ctx& ctx, std::span<std::uint8_t> data);
 
 /// XOR `data` in place with the ChaCha20 keystream starting at block

@@ -1,11 +1,12 @@
 // Internal contract between the ChaCha20 dispatcher (chacha20.cc) and the
-// per-ISA multi-block kernels (chacha20_sse2.cc / chacha20_avx2.cc). Not
-// installed outside src/crypto.
+// vertical 8-block kernel (chacha20_x8.cc, compiled once per vector ISA
+// level). Not installed outside src/crypto.
 //
-// A kernel XORs `blocks` consecutive 64-byte keystream blocks into `data`,
-// starting at the block counter in state[12]; `blocks` is always a
-// multiple of the kernel's lane width (4 for SSE2, 8 for AVX2). The caller
-// advances state[12] afterwards. state is the RFC 8439 layout:
+// A kernel XORs `len` bytes of keystream into `data` (any length: whole
+// 512-byte batches in place, the final partial batch through a stack
+// buffer, never touching data[len] or beyond), starting at the block
+// counter in state[12]. The caller advances state[12] by
+// ceil(len / 64) afterwards. state is the RFC 8439 layout:
 // constants | key | counter | nonce, one 32-bit word each.
 #pragma once
 
@@ -14,14 +15,11 @@
 
 namespace mpq::crypto::internal {
 
-#if defined(MPQ_HAVE_SSE2)
-void ChaCha20XorBlocksSse2(const std::uint32_t state[16], std::uint8_t* data,
-                           std::size_t blocks);
-#endif
-
-#if defined(MPQ_HAVE_AVX2)
-void ChaCha20XorBlocksAvx2(const std::uint32_t state[16], std::uint8_t* data,
-                           std::size_t blocks);
-#endif
+// Defined only in builds that compiled the level in (MPQ_HAVE_AVX2,
+// MPQ_HAVE_AVX512VL); the dispatcher calls each under the same guard.
+void ChaCha20XorAvx2(const std::uint32_t state[16], std::uint8_t* data,
+                     std::size_t len);
+void ChaCha20XorAvx512vl(const std::uint32_t state[16], std::uint8_t* data,
+                         std::size_t len);
 
 }  // namespace mpq::crypto::internal

@@ -14,11 +14,14 @@ SimdLevel DetectMaxLevel() {
   SimdLevel level = SimdLevel::kScalar;
 #if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
   __builtin_cpu_init();
-#if defined(MPQ_HAVE_SSE2)
-  if (__builtin_cpu_supports("sse2")) level = SimdLevel::kSse2;
-#endif
 #if defined(MPQ_HAVE_AVX2)
   if (__builtin_cpu_supports("avx2")) level = SimdLevel::kAvx2;
+#endif
+#if defined(MPQ_HAVE_AVX512VL)
+  if (level == SimdLevel::kAvx2 && __builtin_cpu_supports("avx512f") &&
+      __builtin_cpu_supports("avx512vl")) {
+    level = SimdLevel::kAvx512vl;
+  }
 #endif
 #endif
   return level;
@@ -44,10 +47,10 @@ void ForceSimdLevel(SimdLevel level) {
 
 const char* SimdLevelName(SimdLevel level) {
   switch (level) {
-    case SimdLevel::kSse2:
-      return "sse2";
     case SimdLevel::kAvx2:
       return "avx2";
+    case SimdLevel::kAvx512vl:
+      return "avx512vl";
     case SimdLevel::kScalar:
       break;
   }

@@ -4,17 +4,19 @@
 // above the AEAD sees one scalar-equivalent API whose implementation is
 // selected here once per process.
 //
-// Selection order (highest wins): AVX2 (8 ChaCha blocks per call) >
-// SSE2 (4 blocks) > scalar. A level is usable only if it was compiled in
-// (the build can force scalar with -DMPQ_NO_SIMD=ON), the CPU reports it,
-// and the environment does not veto it (MPQ_NO_SIMD=1 at runtime).
-// Every level produces byte-identical output — cross-checked by
-// tests/crypto_test.cc and the ci.sh no-SIMD cmp stage.
+// Selection order (highest wins): AVX-512VL > AVX2 > scalar. Both vector
+// levels run the same 8-block ChaCha20 kernel (chacha20_x8.cc, built once
+// per level); AVX-512VL adds native 32-bit rotates and 32 registers. A
+// level is usable only if it was compiled in (the build can force scalar
+// with -DMPQ_NO_SIMD=ON), the CPU reports it, and the environment does
+// not veto it (MPQ_NO_SIMD=1 at runtime). Every level produces
+// byte-identical output — cross-checked by tests/crypto_test.cc and the
+// ci.sh selftest stage.
 #pragma once
 
 namespace mpq::crypto {
 
-enum class SimdLevel { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+enum class SimdLevel { kScalar = 0, kAvx2 = 1, kAvx512vl = 2 };
 
 /// Best level that is compiled in, supported by this CPU, and not vetoed
 /// by MPQ_NO_SIMD=1 in the environment. Detected once, then cached.
@@ -30,7 +32,7 @@ SimdLevel ActiveSimdLevel();
 /// from single-threaded test setup.
 void ForceSimdLevel(SimdLevel level);
 
-/// "scalar" | "sse2" | "avx2" — for bench/selftest labels.
+/// "scalar" | "avx2" | "avx512vl" — for bench/selftest labels.
 const char* SimdLevelName(SimdLevel level);
 
 }  // namespace mpq::crypto

@@ -5,6 +5,7 @@
 
 #include <array>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "common/buf.h"
@@ -351,12 +352,15 @@ TEST(PacketProtection, OpenInPlaceTruncatedInputRejected) {
 // --- SIMD dispatch ---------------------------------------------------------
 
 /// Every level compiled into this binary and available on this machine,
-/// scalar first. Tests iterate the list so the SSE2/AVX2 kernels face
-/// the same known-answer vectors as the scalar reference.
+/// scalar first. Tests iterate the list so both builds of the 8-block
+/// kernel (AVX2, AVX-512VL) face the same known-answer vectors as the
+/// scalar reference.
 std::vector<SimdLevel> AvailableLevels() {
   std::vector<SimdLevel> levels = {SimdLevel::kScalar};
-  if (MaxSimdLevel() >= SimdLevel::kSse2) levels.push_back(SimdLevel::kSse2);
   if (MaxSimdLevel() >= SimdLevel::kAvx2) levels.push_back(SimdLevel::kAvx2);
+  if (MaxSimdLevel() >= SimdLevel::kAvx512vl) {
+    levels.push_back(SimdLevel::kAvx512vl);
+  }
   return levels;
 }
 
@@ -367,11 +371,10 @@ struct SimdLevelRestorer {
 
 TEST(SimdDispatch, Rfc8439EncryptionVectorAtEveryLevel) {
   // The §2.4.2 vector, re-checked with each kernel forced. The text is
-  // 114 bytes — short of one SSE2 batch — so also run an extended
+  // 114 bytes — less than one 8-block batch — so also run an extended
   // message (the vector text repeated 8x = 912 bytes) through every
-  // level and require bytes identical to scalar: that covers the AVX2
-  // 8-block path, the SSE2 4-block path, whole scalar blocks and the
-  // partial tail in one sweep.
+  // level and require bytes identical to scalar: that covers one full
+  // 8-block batch and a partial batch ending mid-block in one sweep.
   SimdLevelRestorer restore;
   const ChaChaKey key = SequentialKey();
   const ChaChaNonce nonce = {0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
@@ -408,8 +411,8 @@ TEST(SimdDispatch, Rfc8439EncryptionVectorAtEveryLevel) {
 }
 
 TEST(SimdDispatch, SipHashVectorsAndSealAtEveryLevel) {
-  // SipHash itself is scalar code, but the seal path fuses its absorb
-  // into the vectorized cipher walk — so run the reference vectors AND
+  // SipHash itself is scalar code, but the seal path tags the output of
+  // the vectorized cipher — so run the reference vectors AND
   // a full seal (tag included) at every level, requiring byte-equal
   // output across levels.
   SimdLevelRestorer restore;
@@ -445,8 +448,8 @@ TEST(SimdDispatch, SipHashVectorsAndSealAtEveryLevel) {
 TEST(SimdDispatch, RandomizedScalarEquivalence) {
   // Property test: for random keys/nonces/counters and lengths chosen
   // to straddle every kernel boundary (odd lengths, partial blocks,
-  // 4/8-block multiples ± 1), every compiled SIMD level produces the
-  // scalar bytes exactly.
+  // block and batch multiples ± 1), every compiled SIMD level produces
+  // the scalar bytes exactly.
   SimdLevelRestorer restore;
   mpq::Rng rng(20170712);
   const std::size_t kBoundary[] = {1,   63,  64,  65,  255,  256,  257,
@@ -480,8 +483,120 @@ TEST(SimdDispatch, RandomizedScalarEquivalence) {
 
 TEST(SimdDispatch, ForceIsClampedToMachineMaximum) {
   SimdLevelRestorer restore;
-  ForceSimdLevel(SimdLevel::kAvx2);
+  ForceSimdLevel(SimdLevel::kAvx512vl);
   EXPECT_LE(ActiveSimdLevel(), MaxSimdLevel());
+}
+
+/// Key and nonce for the exhaustive sweeps below: arbitrary but fixed.
+ChaChaKey SweepKey() {
+  ChaChaKey key;
+  for (std::size_t i = 0; i < key.size(); ++i) {
+    key[i] = static_cast<std::uint8_t>(0xA5 ^ (i * 29));
+  }
+  return key;
+}
+
+const ChaChaNonce kSweepNonce = {9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 0xFF, 0x80};
+
+std::vector<std::uint8_t> SweepInput(std::size_t len) {
+  std::vector<std::uint8_t> input(len);
+  for (std::size_t i = 0; i < len; ++i) {
+    input[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  }
+  return input;
+}
+
+TEST(SimdDispatch, EveryLengthEveryLevelMatchesScalar) {
+  // Every length from 0 to 2100 bytes — every offset within a block and
+  // within an 8-block batch, up to four batches — at every level must
+  // give the scalar bytes. Counter 0xFFFFFFFD makes the 32-bit block
+  // counter wrap inside the first batch, so the partial batch of short
+  // inputs carries lanes on both sides of the wrap.
+  SimdLevelRestorer restore;
+  const ChaChaKey key = SweepKey();
+  for (const std::uint32_t counter : {1u, 0xFFFFFFFDu}) {
+    for (std::size_t len = 0; len <= 2100; ++len) {
+      const std::vector<std::uint8_t> input = SweepInput(len);
+      ForceSimdLevel(SimdLevel::kScalar);
+      std::vector<std::uint8_t> reference = input;
+      ChaCha20Xor(key, counter, kSweepNonce, reference);
+      for (const SimdLevel level : AvailableLevels()) {
+        if (level == SimdLevel::kScalar) continue;
+        ForceSimdLevel(level);
+        std::vector<std::uint8_t> data = input;
+        ChaCha20Xor(key, counter, kSweepNonce, data);
+        ASSERT_EQ(data, reference)
+            << "len " << len << " counter " << counter << " level "
+            << SimdLevelName(level);
+      }
+    }
+  }
+}
+
+TEST(SimdDispatch, MultiCallXorUpdateMatchesOneShot) {
+  // The streaming contract: whole-block calls advance the counter by
+  // their block count, so a message split into full-block calls plus a
+  // final partial call gives the one-shot bytes — at every level, and
+  // for splits that land inside, on and across 8-block batches.
+  SimdLevelRestorer restore;
+  const ChaChaKey key = SweepKey();
+  const std::vector<std::uint8_t> input = SweepInput(1350);
+  ForceSimdLevel(SimdLevel::kScalar);
+  std::vector<std::uint8_t> reference = input;
+  ChaCha20Xor(key, 7, kSweepNonce, reference);
+
+  const std::vector<std::vector<std::size_t>> splits = {
+      {64, 64, 1222}, {128, 1222}, {512, 838},         {576, 448, 326},
+      {1024, 326},    {1344, 6},   {64, 512, 704, 70}, {1280, 64, 6}};
+  for (const SimdLevel level : AvailableLevels()) {
+    ForceSimdLevel(level);
+    for (const auto& split : splits) {
+      std::vector<std::uint8_t> data = input;
+      ChaCha20Ctx ctx;
+      ChaCha20Init(ctx, key, 7, kSweepNonce);
+      std::size_t offset = 0;
+      for (const std::size_t n : split) {
+        ChaCha20XorUpdate(ctx,
+                          std::span<std::uint8_t>(data).subspan(offset, n));
+        offset += n;
+      }
+      ASSERT_EQ(offset, data.size());
+      EXPECT_EQ(data, reference)
+          << "level " << SimdLevelName(level) << " first call "
+          << split.front();
+      // The counter ends one past the last block the message touched.
+      EXPECT_EQ(ctx.state[12], 7u + (1350 + 63) / 64)
+          << "level " << SimdLevelName(level);
+    }
+  }
+}
+
+TEST(SimdDispatch, PartialBatchNeverWritesPastTheSpan) {
+  // Regression guard for the final partial batch: the kernel computes a
+  // whole 512-byte keystream batch but may only XOR the bytes of the
+  // span. A write past the end that stays inside the vector's capacity
+  // is invisible to ASan, so sit the span inside a larger buffer and
+  // require the guard bytes after it (and before it) to be untouched.
+  SimdLevelRestorer restore;
+  const ChaChaKey key = SweepKey();
+  constexpr std::size_t kGuard = 512;
+  constexpr std::uint8_t kGuardByte = 0xCC;
+  for (const SimdLevel level : AvailableLevels()) {
+    ForceSimdLevel(level);
+    for (std::size_t len = 0; len <= 1100; ++len) {
+      std::vector<std::uint8_t> buf(kGuard + len + kGuard, kGuardByte);
+      ChaCha20Xor(key, 1, kSweepNonce,
+                  std::span<std::uint8_t>(buf).subspan(kGuard, len));
+      for (std::size_t i = 0; i < kGuard; ++i) {
+        ASSERT_EQ(buf[i], kGuardByte)
+            << "byte " << i << " before a " << len << "-byte span, level "
+            << SimdLevelName(level);
+        ASSERT_EQ(buf[kGuard + len + i], kGuardByte)
+            << "byte " << i << " past a " << len << "-byte span, level "
+            << SimdLevelName(level);
+      }
+    }
+  }
 }
 
 // --- PR 10 regression tests ------------------------------------------------

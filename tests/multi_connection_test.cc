@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "quic/endpoint.h"
+#include "quic/server.h"
 #include "sim/net.h"
 #include "sim/simulator.h"
 #include "tcpsim/endpoint.h"
@@ -95,6 +96,45 @@ TEST(MultiConnection, QuicServerHandlesManyClients) {
     EXPECT_EQ(received[i], static_cast<ByteCount>(i + 1) * 256 * 1024)
         << "client " << i;
     EXPECT_EQ(errors[i], 0u) << "client " << i;
+  }
+}
+
+TEST(MultiConnection, HandshakeForOtherShardIsCountedAndDropped) {
+  // A two-shard server instance owns only the CIDs that hash to its own
+  // shard. A client handshake whose CID hashes to the other shard must be
+  // counted as wrong-shard and must not open a connection; the same
+  // handshake delivered to the owning shard is accepted.
+  std::uint64_t seed = 1;
+  while (quic::ShardOf(quic::ClientEndpoint::CidForSeed(seed), 2) != 1) {
+    ++seed;
+  }
+  const ConnectionId cid = quic::ClientEndpoint::CidForSeed(seed);
+
+  for (const std::uint32_t shard_index : {0u, 1u}) {
+    StarTopology topo(1);
+    quic::ConnectionConfig config;
+    quic::Server server(topo.sim, topo.net, topo.server_addrs, config, 1,
+                        shard_index, 2);
+    quic::ClientEndpoint client(topo.sim, topo.net, topo.client_addrs,
+                                config, seed);
+    client.Connect(topo.server_addrs[0]);
+    // Long enough for the first handshake datagram to arrive (20 ms
+    // one-way), well short of a handshake retransmission.
+    topo.sim.Run(100 * kMillisecond);
+
+    const quic::ServerStats& stats = server.stats();
+    if (shard_index == 0) {
+      EXPECT_EQ(stats.datagrams_wrong_shard, 1u);
+      EXPECT_EQ(stats.accepted, 0u);
+      EXPECT_EQ(stats.datagrams_demuxed, 0u);
+      EXPECT_EQ(server.connection_count(), 0u);
+      EXPECT_EQ(server.FindConnection(cid), nullptr);
+    } else {
+      EXPECT_EQ(stats.datagrams_wrong_shard, 0u);
+      EXPECT_EQ(stats.accepted, 1u);
+      EXPECT_EQ(server.connection_count(), 1u);
+      EXPECT_NE(server.FindConnection(cid), nullptr);
+    }
   }
 }
 

@@ -126,12 +126,14 @@ for dir in build-asan build-audit; do
 done
 
 # --- Stage 5c: SIMD/scalar crypto equivalence ---------------------------
-# Build the crypto micro-bench with the SIMD kernels compiled out
-# entirely (-DMPQ_NO_SIMD=ON) and byte-compare its deterministic
-# --selftest digest sweep against the default build's. This is the
-# end-to-end guarantee that the SSE2/AVX2 ChaCha20 kernels and the fused
-# seal/open walk produce exactly the scalar bytes — independent of the
-# unit-test vectors, on the real dispatch path.
+# The --selftest digest sweep runs at every SIMD level the machine
+# supports and exits 1 unless each matches scalar. Also build the crypto
+# micro-bench with the SIMD kernels compiled out entirely
+# (-DMPQ_NO_SIMD=ON) and byte-compare its sweep against the default
+# build's. This is the end-to-end guarantee that both builds of the
+# 8-block ChaCha20 kernel (AVX2, AVX-512VL) and the seal/open path
+# produce exactly the scalar bytes — independent of the unit-test
+# vectors, on the real dispatch path.
 echo "==> crypto SIMD/scalar equivalence (build-nosimd)"
 cmake -B build-nosimd -S . -DMPQ_NO_SIMD=ON > /dev/null
 cmake --build build-nosimd -j "${jobs}" --target bench_micro_crypto
