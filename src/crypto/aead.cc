@@ -85,9 +85,9 @@ std::uint64_t PacketProtection::Tag(
   return state.Finalize();
 }
 
-void PacketProtection::SealOne(PathId path, PacketNumber pn,
-                               std::span<const std::uint8_t> aad,
-                               std::span<std::uint8_t> buf) const {
+void PacketProtection::SealInPlace(PathId path, PacketNumber pn,
+                                   std::span<const std::uint8_t> aad,
+                                   std::span<std::uint8_t> buf) const {
   MPQ_PROF_SCOPE("crypto/seal");
   const ChaChaNonce nonce = MakeNonce(path, pn);
   const std::span<std::uint8_t> text = buf.first(buf.size() - kAeadTagSize);
@@ -97,10 +97,10 @@ void PacketProtection::SealOne(PathId path, PacketNumber pn,
   WriteTagLe(buf.data() + text.size(), Tag(nonce, aad, text));
 }
 
-bool PacketProtection::OpenOne(PathId path, PacketNumber pn,
-                               std::span<const std::uint8_t> aad,
-                               std::span<std::uint8_t> buf,
-                               std::size_t& plaintext_len) const {
+bool PacketProtection::OpenInPlace(PathId path, PacketNumber pn,
+                                   std::span<const std::uint8_t> aad,
+                                   std::span<std::uint8_t> buf,
+                                   std::size_t& plaintext_len) const {
   MPQ_PROF_SCOPE("crypto/open");
   if (buf.size() < kAeadTagSize) return false;
   const std::span<std::uint8_t> ciphertext =
@@ -129,12 +129,6 @@ std::vector<std::uint8_t> PacketProtection::Seal(
   return out;
 }
 
-void PacketProtection::SealInPlace(PathId path, PacketNumber pn,
-                                   std::span<const std::uint8_t> aad,
-                                   std::span<std::uint8_t> buf) const {
-  SealOne(path, pn, aad, buf);
-}
-
 bool PacketProtection::Open(PathId path, PacketNumber pn,
                             std::span<const std::uint8_t> aad,
                             std::span<const std::uint8_t> sealed,
@@ -145,31 +139,9 @@ bool PacketProtection::Open(PathId path, PacketNumber pn,
   // ciphertext; its contents are unspecified then).
   out.assign(sealed.begin(), sealed.end());
   std::size_t plaintext_len = 0;
-  if (!OpenOne(path, pn, aad, out, plaintext_len)) return false;
+  if (!OpenInPlace(path, pn, aad, out, plaintext_len)) return false;
   out.resize(plaintext_len);
   return true;
-}
-
-bool PacketProtection::OpenInPlace(PathId path, PacketNumber pn,
-                                   std::span<const std::uint8_t> aad,
-                                   std::span<std::uint8_t> buf,
-                                   std::size_t& plaintext_len) const {
-  return OpenOne(path, pn, aad, buf, plaintext_len);
-}
-
-void PacketProtection::SealN(std::span<SealRequest> requests) const {
-  for (SealRequest& req : requests) {
-    // The per-packet profiler scope lives inside SealOne, so span names
-    // and counts match the unbatched path packet for packet.
-    SealOne(req.path, req.pn, req.aad, req.buf);
-  }
-}
-
-void PacketProtection::OpenN(std::span<OpenRequest> requests) const {
-  for (OpenRequest& req : requests) {
-    req.plaintext_len = 0;
-    req.ok = OpenOne(req.path, req.pn, req.aad, req.buf, req.plaintext_len);
-  }
 }
 
 SessionKeys DeriveSessionKeys(

@@ -17,8 +17,9 @@
 // Hot-path shape: one ChaCha20 call per packet (a single vector kernel
 // call for any length, crypto/cpu.h) and one SipHash pass over the
 // ciphertext, which is still in L1 by then. Open verifies the tag before
-// it decrypts. SealN/OpenN batch N packets per call for the
-// burst-oriented datapath (quic/assembler.h, quic/server.h).
+// it decrypts. The datapath seals each packet once where it was
+// assembled (quic/assembler.h) and opens each received datagram once
+// (quic/dispatch.h); nothing groups packets.
 #pragma once
 
 #include <array>
@@ -40,31 +41,6 @@ inline constexpr std::size_t kAeadTagSize = 8;
 /// counter mode, keyed by the first half of the secret).
 std::array<std::uint8_t, 32> Kdf32(std::span<const std::uint8_t> secret,
                                    std::string_view label);
-
-/// One packet of a SealN batch: on entry the first
-/// `buf.size() - kAeadTagSize` bytes hold the plaintext; on return they
-/// hold the ciphertext and the last kAeadTagSize bytes the tag.
-/// Identical semantics to SealInPlace. `buf` must not overlap `aad`.
-struct SealRequest {
-  PathId path{};
-  PacketNumber pn{};
-  std::span<const std::uint8_t> aad;
-  std::span<std::uint8_t> buf;
-};
-
-/// One packet of an OpenN batch: `buf` holds ciphertext | tag. On
-/// success `ok` is true, the ciphertext is decrypted in place and
-/// `plaintext_len` receives buf.size() - kAeadTagSize; on failure `ok`
-/// is false and `buf` is left exactly as passed (same contract as
-/// OpenInPlace).
-struct OpenRequest {
-  PathId path{};
-  PacketNumber pn{};
-  std::span<const std::uint8_t> aad;
-  std::span<std::uint8_t> buf;
-  std::size_t plaintext_len = 0;
-  bool ok = false;
-};
 
 /// One direction of packet protection.
 class PacketProtection {
@@ -107,26 +83,11 @@ class PacketProtection {
                    std::span<std::uint8_t> buf,
                    std::size_t& plaintext_len) const;
 
-  /// Batched seal: seal every request in order, equivalent to calling
-  /// SealInPlace per entry. One call per transmit burst amortizes the
-  /// dispatch overhead across the burst (quic/assembler.h).
-  void SealN(std::span<SealRequest> requests) const;
-
-  /// Batched open: open every request in order, equivalent to calling
-  /// OpenInPlace per entry; per-packet verdicts land in OpenRequest::ok.
-  void OpenN(std::span<OpenRequest> requests) const;
-
  private:
   ChaChaNonce MakeNonce(PathId path, PacketNumber pn) const;
   std::uint64_t Tag(const ChaChaNonce& nonce,
                     std::span<const std::uint8_t> aad,
                     std::span<const std::uint8_t> ciphertext) const;
-  void SealOne(PathId path, PacketNumber pn,
-               std::span<const std::uint8_t> aad,
-               std::span<std::uint8_t> buf) const;
-  bool OpenOne(PathId path, PacketNumber pn,
-               std::span<const std::uint8_t> aad, std::span<std::uint8_t> buf,
-               std::size_t& plaintext_len) const;
 
   ChaChaKey cipher_key_;
   SipHashKey tag_key_;

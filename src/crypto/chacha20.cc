@@ -75,7 +75,7 @@ void KeystreamBlock(const std::uint32_t state[16], std::uint32_t counter,
 }
 
 /// Scalar fallback: XOR `len` keystream bytes into `data`, one block at a
-/// time from state[12]; the caller advances the counter.
+/// time from state[12].
 void XorScalar(const std::uint32_t state[16], std::uint8_t* data,
                std::size_t len) {
   std::uint8_t keystream[kChaChaBlockSize];
@@ -107,12 +107,10 @@ void ChaCha20Block(const ChaChaKey& key, std::uint32_t counter,
   KeystreamBlock(state, counter, out.data());
 }
 
-void ChaCha20Init(ChaCha20Ctx& ctx, const ChaChaKey& key,
-                  std::uint32_t counter, const ChaChaNonce& nonce) {
-  InitState(ctx.state, key, counter, nonce);
-}
-
-void ChaCha20XorUpdate(ChaCha20Ctx& ctx, std::span<std::uint8_t> data) {
+void ChaCha20Xor(const ChaChaKey& key, std::uint32_t initial_counter,
+                 const ChaChaNonce& nonce, std::span<std::uint8_t> data) {
+  std::uint32_t state[16];
+  InitState(state, key, initial_counter, nonce);
   const std::size_t len = data.size();
   // One block or less (ACK-only and PING packets) measures faster on the
   // scalar block than on a whole 8-block vector batch.
@@ -121,27 +119,18 @@ void ChaCha20XorUpdate(ChaCha20Ctx& ctx, std::span<std::uint8_t> data) {
   switch (level) {
 #if defined(MPQ_HAVE_AVX512VL)
     case SimdLevel::kAvx512vl:
-      internal::ChaCha20XorAvx512vl(ctx.state, data.data(), len);
+      internal::ChaCha20XorAvx512vl(state, data.data(), len);
       break;
 #endif
 #if defined(MPQ_HAVE_AVX2)
     case SimdLevel::kAvx2:
-      internal::ChaCha20XorAvx2(ctx.state, data.data(), len);
+      internal::ChaCha20XorAvx2(state, data.data(), len);
       break;
 #endif
     default:
-      XorScalar(ctx.state, data.data(), len);
+      XorScalar(state, data.data(), len);
       break;
   }
-  ctx.state[12] += static_cast<std::uint32_t>(
-      (len + kChaChaBlockSize - 1) / kChaChaBlockSize);
-}
-
-void ChaCha20Xor(const ChaChaKey& key, std::uint32_t initial_counter,
-                 const ChaChaNonce& nonce, std::span<std::uint8_t> data) {
-  ChaCha20Ctx ctx;
-  ChaCha20Init(ctx, key, initial_counter, nonce);
-  ChaCha20XorUpdate(ctx, data);
 }
 
 }  // namespace mpq::crypto

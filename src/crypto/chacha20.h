@@ -32,27 +32,11 @@ void ChaCha20Block(const ChaChaKey& key, std::uint32_t counter,
                    const ChaChaNonce& nonce,
                    std::array<std::uint8_t, kChaChaBlockSize>& out);
 
-/// Streaming XOR context: the 16-word RFC 8439 state, set up once per
-/// message so a message can be XORed in several calls without
-/// re-expanding the key.
-struct ChaCha20Ctx {
-  std::uint32_t state[16];
-};
-
-/// Initialize `ctx` from key/counter/nonce (RFC 8439 §2.3 state layout).
-void ChaCha20Init(ChaCha20Ctx& ctx, const ChaChaKey& key,
-                  std::uint32_t counter, const ChaChaNonce& nonce);
-
-/// XOR `data` in place with the next keystream bytes, advancing the block
-/// counter by ceil(data.size() / kChaChaBlockSize). Every call but the
-/// last must pass a multiple of kChaChaBlockSize bytes (a partial block
-/// ends the stream: the counter still advances past it, so only the
-/// final call may be partial).
-void ChaCha20XorUpdate(ChaCha20Ctx& ctx, std::span<std::uint8_t> data);
-
 /// XOR `data` in place with the ChaCha20 keystream starting at block
 /// `initial_counter` (RFC 8439 §2.4). Encryption and decryption are the
-/// same operation. Equivalent to ChaCha20Init + one ChaCha20XorUpdate.
+/// same operation. The call consumes ceil(data.size() / kChaChaBlockSize)
+/// blocks, so a message split at block boundaries can be XORed piecewise
+/// by advancing the counter that far between calls.
 void ChaCha20Xor(const ChaChaKey& key, std::uint32_t initial_counter,
                  const ChaChaNonce& nonce, std::span<std::uint8_t> data);
 

@@ -5,8 +5,7 @@
 // A kernel XORs `len` bytes of keystream into `data` (any length: whole
 // 512-byte batches in place, the final partial batch through a stack
 // buffer, never touching data[len] or beyond), starting at the block
-// counter in state[12]. The caller advances state[12] by
-// ceil(len / 64) afterwards. state is the RFC 8439 layout:
+// counter in state[12]; state is read-only. state is the RFC 8439 layout:
 // constants | key | counter | nonce, one 32-bit word each.
 #pragma once
 

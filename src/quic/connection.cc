@@ -421,43 +421,6 @@ void Connection::OnDatagram(const sim::Datagram& datagram) {
   TrySend();
 }
 
-void Connection::OnDatagramBatch(std::span<sim::Datagram> datagrams) {
-  if (closed_) return;
-  AuditScope audit(*this);
-  std::vector<FrameDispatcher::EncryptedPacketRef>& run = batch_packets_scratch_;
-  run.clear();
-  const auto flush_run = [&] {
-    if (run.empty()) return;
-    dispatcher_->OnEncryptedPacketBatch(run);
-    run.clear();
-  };
-  for (sim::Datagram& datagram : datagrams) {
-    if (closed_) break;
-    BufReader reader(datagram.payload);
-    ParsedHeader parsed;
-    if (!DecodeHeader(reader, parsed)) continue;
-    if (parsed.header.cid != cid_) continue;
-    ++stats_.packets_received;
-    if (idle_timer_) idle_timer_->SetIn(config_.idle_failure_timeout);
-    if (connection_idle_timer_) {
-      connection_idle_timer_->SetIn(config_.idle_timeout);
-    }
-    if (parsed.header.handshake) {
-      // Key installs must land before the packets behind them decrypt:
-      // drain the pending 1-RTT run, then process the handshake packet
-      // exactly as the unbatched path would.
-      flush_run();
-      handshake_->OnHandshakePacket(parsed, reader, datagram);
-      TrySend();
-      continue;
-    }
-    run.push_back(FrameDispatcher::EncryptedPacketRef{
-        parsed, std::span<std::uint8_t>(datagram.payload), &datagram});
-  }
-  if (!closed_) flush_run();
-  if (!closed_) TrySend();
-}
-
 Path* Connection::EnsurePath(PathId id, const sim::Datagram& datagram) {
   auto it = paths_.find(id);
   if (it == paths_.end()) {
@@ -573,10 +536,6 @@ void Connection::TrySend() {
   if (!established_ || closed_ || in_try_send_) return;
   AuditScope audit(*this);
   in_try_send_ = true;
-  // Transmit burst: every packet this pass produces (probes, control,
-  // the main data loop, scheduler duplicates) is sealed in one batched
-  // crypto call and handed to the network when the burst ends.
-  assembler_->BeginBurst();
 
   // Scheduler-requested probes (ping-first ablation).
   for (auto& [id, path] : paths_) {
@@ -690,7 +649,6 @@ void Connection::TrySend() {
       }
     }
   }
-  assembler_->EndBurst();
   in_try_send_ = false;
 }
 

@@ -70,12 +70,6 @@ class Connection : private RecoveryDelegate,
   void SetLocalAddresses(std::vector<sim::Address> addresses);
   /// Feed an incoming datagram (already demultiplexed by CID).
   void OnDatagram(const sim::Datagram& datagram);
-  /// Feed a same-instant run of datagrams (quic::Server batch dispatch):
-  /// consecutive 1-RTT packets are decrypted with one crypto::OpenN call
-  /// and the send loop runs once for the whole run instead of once per
-  /// datagram. Payloads are decrypted in place — the caller owns the
-  /// datagrams and must not reuse their payload bytes afterwards.
-  void OnDatagramBatch(std::span<sim::Datagram> datagrams);
 
   // -- client lifecycle ---------------------------------------------------
   /// Start the secure handshake toward the server's initial address.
@@ -244,9 +238,6 @@ class Connection : private RecoveryDelegate,
   std::vector<Path*> eligible_scratch_;
   std::vector<StreamFrame> sent_stream_frames_scratch_;
   int migrations_ = 0;
-  /// Recycled per-batch scratch for OnDatagramBatch (capacity survives
-  /// across batches).
-  std::vector<FrameDispatcher::EncryptedPacketRef> batch_packets_scratch_;
   /// Armed only in migrate-on-failure mode: detects a dead path from the
   /// receiver side (nothing arrives while a transfer is in progress).
   std::unique_ptr<sim::Timer> idle_timer_;

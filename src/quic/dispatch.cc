@@ -38,9 +38,9 @@ void FrameDispatcher::OnEncryptedPacket(
   // first packet of a new path — no handshake required).
   Path& path = *delegate_.EnsurePath(pid, datagram);
 
-  const PacketNumber pn =
-      DecodePacketNumber(path.receiver().largest_received(),
-                         parsed.header.packet_number, parsed.pn_length);
+  const PacketNumber largest_before = path.receiver().largest_received();
+  const PacketNumber pn = DecodePacketNumber(
+      largest_before, parsed.header.packet_number, parsed.pn_length);
   const std::span<const std::uint8_t> aad =
       datagram_bytes.subspan(0, parsed.header_size);
   std::span<const std::uint8_t> sealed;
@@ -51,94 +51,6 @@ void FrameDispatcher::OnEncryptedPacket(
     ++stats_.packets_decrypt_failed;
     return;
   }
-  ProcessOpenedPacket(path, pid, pn, plaintext, datagram);
-}
-
-void FrameDispatcher::OnEncryptedPacketBatch(
-    std::span<EncryptedPacketRef> packets) {
-  if (!open_ || packets.empty()) return;
-  // Phase 1: reconstruct packet numbers speculatively — each packet's
-  // decode context is the receiver's largest plus every number decoded
-  // earlier in the run, which is exactly the sequential context as long
-  // as every open succeeds — and build the OpenN request array.
-  std::vector<crypto::OpenRequest>& requests = open_requests_scratch_;
-  requests.clear();
-  predicted_largest_scratch_.clear();
-  for (EncryptedPacketRef& packet : packets) {
-    const PathId pid =
-        packet.parsed.header.multipath ? packet.parsed.header.path_id
-                                       : PathId{0};
-    Path& path = *delegate_.EnsurePath(pid, *packet.datagram);
-    PacketNumber* predicted = nullptr;
-    for (auto& [id, largest] : predicted_largest_scratch_) {
-      if (id == pid) {
-        predicted = &largest;
-        break;
-      }
-    }
-    if (predicted == nullptr) {
-      predicted_largest_scratch_.emplace_back(
-          pid, path.receiver().largest_received());
-      predicted = &predicted_largest_scratch_.back().second;
-    }
-    const PacketNumber pn = DecodePacketNumber(
-        *predicted, packet.parsed.header.packet_number,
-        packet.parsed.pn_length);
-    if (pn > *predicted) *predicted = pn;
-    const std::span<std::uint8_t> payload = packet.payload;
-    requests.push_back(crypto::OpenRequest{
-        pid, pn,
-        std::span<const std::uint8_t>(payload)
-            .subspan(0, packet.parsed.header_size),
-        payload.subspan(packet.parsed.header_size)});
-  }
-  // Phase 2: one batched crypto call, decrypting every payload in place.
-  open_->OpenN(requests);
-  // Phase 3: consume in arrival order against the live receiver state.
-  for (std::size_t i = 0; i < packets.size(); ++i) {
-    if (delegate_.connection_closed()) return;
-    MPQ_PROF_SCOPE("dispatch/packet");
-    EncryptedPacketRef& packet = packets[i];
-    crypto::OpenRequest& request = requests[i];
-    const PathId pid = request.path;
-    Path& path = *delegate_.EnsurePath(pid, *packet.datagram);
-    const PacketNumber pn_true = DecodePacketNumber(
-        path.receiver().largest_received(), packet.parsed.header.packet_number,
-        packet.parsed.pn_length);
-    std::span<const std::uint8_t> plaintext;
-    if (pn_true == request.pn) {
-      if (!request.ok) {
-        ++stats_.packets_decrypt_failed;
-        continue;
-      }
-      plaintext = request.buf.first(request.plaintext_len);
-    } else if (!request.ok) {
-      // The speculative chain diverged (an earlier packet in the run
-      // failed to open, so its number never entered the receiver state).
-      // The failed open left the buffer's original ciphertext intact —
-      // retry under the number sequential processing would have used.
-      std::size_t plaintext_len = 0;
-      if (!open_->OpenInPlace(pid, pn_true, request.aad, request.buf,
-                              plaintext_len)) {
-        ++stats_.packets_decrypt_failed;
-        continue;
-      }
-      plaintext = request.buf.first(plaintext_len);
-    } else {
-      // Opened under the speculative number, but sequential processing
-      // would have reconstructed pn_true and rejected the tag (the tag
-      // binds the nonce, and the nonce binds the packet number).
-      ++stats_.packets_decrypt_failed;
-      continue;
-    }
-    ProcessOpenedPacket(path, pid, pn_true, plaintext, *packet.datagram);
-  }
-}
-
-void FrameDispatcher::ProcessOpenedPacket(
-    Path& path, PathId pid, PacketNumber pn,
-    std::span<const std::uint8_t> plaintext, const sim::Datagram& datagram) {
-  const PacketNumber largest_before = path.receiver().largest_received();
   if (!path.receiver().OnPacketReceived(pn, sim_.now())) {
     ++stats_.packets_duplicate;
     return;

@@ -79,25 +79,6 @@ class FrameDispatcher {
                          std::span<const std::uint8_t> datagram_bytes,
                          const sim::Datagram& datagram);
 
-  /// One 1-RTT packet of a receive batch (quic::Server batch dispatch).
-  /// `payload` is the full mutable datagram payload (header | ciphertext
-  /// | tag) — the batch open decrypts it in place.
-  struct EncryptedPacketRef {
-    ParsedHeader parsed;
-    std::span<std::uint8_t> payload;
-    const sim::Datagram* datagram = nullptr;
-  };
-
-  /// Decrypt and process a same-instant run of 1-RTT packets with one
-  /// crypto::OpenN call. Packet numbers are reconstructed speculatively
-  /// along the run (each packet's decode context includes the packets
-  /// before it); the consume pass re-derives every number from the live
-  /// receiver state and falls back to a per-packet open whenever the
-  /// speculation diverged (only possible after a failed open), so the
-  /// outcome per packet — including stats — is exactly what sequential
-  /// OnEncryptedPacket calls would have produced.
-  void OnEncryptedPacketBatch(std::span<EncryptedPacketRef> packets);
-
   /// True while any receive stream still awaits data (idle-failure
   /// detection asks this).
   bool AnyRecvStreamUnfinished() const;
@@ -105,12 +86,6 @@ class FrameDispatcher {
  private:
   friend class Auditor;
 
-  /// Everything after a successful open: duplicate check, tracing,
-  /// address follow, frame parse + routing, ACK scheduling. Shared by
-  /// the single-packet and batch paths.
-  void ProcessOpenedPacket(Path& path, PathId pid, PacketNumber pn,
-                           std::span<const std::uint8_t> plaintext,
-                           const sim::Datagram& datagram);
   /// STREAM frames view the opened plaintext, which outlives this call
   /// and no longer: receive streams copy only what they must buffer.
   void ProcessFrames(Path& path, const std::vector<Frame>& frames);
@@ -137,10 +112,6 @@ class FrameDispatcher {
   // Recycled per-packet scratch (see assembler.h for the rationale).
   std::vector<std::uint8_t> recv_plaintext_scratch_;
   std::vector<Frame> recv_frames_scratch_;
-  /// Recycled OpenN request array + per-path speculative packet-number
-  /// context for OnEncryptedPacketBatch.
-  std::vector<crypto::OpenRequest> open_requests_scratch_;
-  std::vector<std::pair<PathId, PacketNumber>> predicted_largest_scratch_;
 };
 
 }  // namespace mpq::quic

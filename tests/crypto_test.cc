@@ -533,11 +533,12 @@ TEST(SimdDispatch, EveryLengthEveryLevelMatchesScalar) {
   }
 }
 
-TEST(SimdDispatch, MultiCallXorUpdateMatchesOneShot) {
-  // The streaming contract: whole-block calls advance the counter by
-  // their block count, so a message split into full-block calls plus a
-  // final partial call gives the one-shot bytes — at every level, and
-  // for splits that land inside, on and across 8-block batches.
+TEST(SimdDispatch, SplitXorMatchesOneShot) {
+  // The counter contract: a call consumes ceil(len / 64) blocks, so a
+  // message split into full-block calls plus a final partial call, each
+  // started where the previous one stopped, gives the one-shot bytes —
+  // at every level, and for splits that land inside, on and across
+  // 8-block batches.
   SimdLevelRestorer restore;
   const ChaChaKey key = SweepKey();
   const std::vector<std::uint8_t> input = SweepInput(1350);
@@ -552,21 +553,18 @@ TEST(SimdDispatch, MultiCallXorUpdateMatchesOneShot) {
     ForceSimdLevel(level);
     for (const auto& split : splits) {
       std::vector<std::uint8_t> data = input;
-      ChaCha20Ctx ctx;
-      ChaCha20Init(ctx, key, 7, kSweepNonce);
+      std::uint32_t counter = 7;
       std::size_t offset = 0;
       for (const std::size_t n : split) {
-        ChaCha20XorUpdate(ctx,
-                          std::span<std::uint8_t>(data).subspan(offset, n));
+        ChaCha20Xor(key, counter, kSweepNonce,
+                    std::span<std::uint8_t>(data).subspan(offset, n));
+        counter += static_cast<std::uint32_t>((n + 63) / 64);
         offset += n;
       }
       ASSERT_EQ(offset, data.size());
       EXPECT_EQ(data, reference)
           << "level " << SimdLevelName(level) << " first call "
           << split.front();
-      // The counter ends one past the last block the message touched.
-      EXPECT_EQ(ctx.state[12], 7u + (1350 + 63) / 64)
-          << "level " << SimdLevelName(level);
     }
   }
 }
@@ -670,72 +668,6 @@ TEST(SessionKeys, InputFramingSeparatesShiftedSplits) {
   const SessionKeys config_split =
       DeriveSessionKeys(all.subspan(0, 2), {}, all.subspan(2, 1));
   EXPECT_NE(ab_c.client_to_server, config_split.client_to_server);
-}
-
-// --- batched seal/open -----------------------------------------------------
-
-TEST(PacketProtection, SealNMatchesSealInPlacePerPacket) {
-  PacketProtection prot(SequentialKey());
-  const std::size_t lens[] = {0, 1, 64, 500, 1300};
-  std::vector<std::vector<std::uint8_t>> batch_bufs;
-  std::vector<std::vector<std::uint8_t>> single_bufs;
-  std::vector<std::uint8_t> aads[5];
-  for (std::size_t i = 0; i < 5; ++i) {
-    std::vector<std::uint8_t> buf(lens[i] + kAeadTagSize);
-    for (std::size_t j = 0; j < lens[i]; ++j) {
-      buf[j] = static_cast<std::uint8_t>(i * 17 + j);
-    }
-    aads[i].assign(i + 1, static_cast<std::uint8_t>(0xA0 + i));
-    batch_bufs.push_back(buf);
-    single_bufs.push_back(buf);
-  }
-  std::vector<SealRequest> requests;
-  for (std::size_t i = 0; i < 5; ++i) {
-    requests.push_back(SealRequest{PathId{static_cast<std::uint32_t>(i * 90)},
-                                   PacketNumber{i + 1}, aads[i],
-                                   batch_bufs[i]});
-  }
-  prot.SealN(requests);
-  for (std::size_t i = 0; i < 5; ++i) {
-    prot.SealInPlace(PathId{static_cast<std::uint32_t>(i * 90)},
-                     PacketNumber{i + 1}, aads[i], single_bufs[i]);
-    EXPECT_EQ(batch_bufs[i], single_bufs[i]) << "packet " << i;
-  }
-}
-
-TEST(PacketProtection, OpenNMatchesOpenInPlaceAndFlagsTampering) {
-  PacketProtection prot(SequentialKey());
-  std::vector<std::vector<std::uint8_t>> bufs;
-  std::vector<std::uint8_t> aad = {0xEE, 0xFF};
-  for (std::size_t i = 0; i < 6; ++i) {
-    std::vector<std::uint8_t> buf(100 + i * 37 + kAeadTagSize,
-                                  static_cast<std::uint8_t>(i));
-    prot.SealInPlace(PathId{2}, PacketNumber{i + 1}, aad, buf);
-    bufs.push_back(std::move(buf));
-  }
-  // Corrupt packets 1 and 4.
-  bufs[1][5] ^= 0x80;
-  bufs[4].back() ^= 0x01;
-  std::vector<std::vector<std::uint8_t>> expected = bufs;
-
-  std::vector<OpenRequest> requests;
-  for (std::size_t i = 0; i < 6; ++i) {
-    requests.push_back(
-        OpenRequest{PathId{2}, PacketNumber{i + 1}, aad, bufs[i]});
-  }
-  prot.OpenN(requests);
-  for (std::size_t i = 0; i < 6; ++i) {
-    std::size_t plaintext_len = 0;
-    const bool ok = prot.OpenInPlace(PathId{2}, PacketNumber{i + 1}, aad,
-                                     expected[i], plaintext_len);
-    ASSERT_EQ(requests[i].ok, ok) << "packet " << i;
-    ASSERT_EQ(ok, i != 1 && i != 4) << "packet " << i;
-    EXPECT_EQ(bufs[i], expected[i]) << "packet " << i;
-    if (ok) {
-      EXPECT_EQ(requests[i].plaintext_len, plaintext_len);
-      EXPECT_EQ(requests[i].plaintext_len, bufs[i].size() - kAeadTagSize);
-    }
-  }
 }
 
 }  // namespace
