@@ -12,6 +12,7 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace mpq {
@@ -33,6 +34,13 @@ class BufWriter {
  public:
   BufWriter() = default;
   explicit BufWriter(std::size_t reserve) { buf_.reserve(reserve); }
+  /// Write into `buffer`'s storage (a recycled datagram buffer); its old
+  /// contents are discarded.
+  BufWriter(std::vector<std::uint8_t> buffer, std::size_t reserve)
+      : buf_(std::move(buffer)) {
+    buf_.clear();
+    buf_.reserve(reserve);
+  }
 
   void WriteU8(std::uint8_t v) { buf_.push_back(v); }
   void WriteU16(std::uint16_t v) {

@@ -68,11 +68,20 @@ AckFrame PacketAssembler::BuildAck(PathSendState& state) {
   Path& path = *state.path;
   AckFrame ack;
   ack.path_id = path.id();
-  ack.ranges = path.receiver().BuildAckRanges();
+  // The ranges are built into the assembler's storage, which comes back
+  // once the packet is encoded (TransmitPacket).
+  ack.ranges = std::move(ack_ranges_);
+  path.receiver().BuildAckRanges(ack.ranges);
   ack.ack_delay = sim_.now() - path.receiver().largest_received_time();
   path.ClearAckPending();
   state.ack_timer->Cancel();
   return ack;
+}
+
+void PacketAssembler::ReclaimAckRanges(Frame& frame) {
+  if (auto* ack = std::get_if<AckFrame>(&frame)) {
+    ack_ranges_ = std::move(ack->ranges);
+  }
 }
 
 void PacketAssembler::MaybeScheduleAck(Path& path, bool out_of_order) {
@@ -205,11 +214,13 @@ bool PacketAssembler::SendOnePacket(
 
   // 1. Piggyback a pending ACK for this path.
   if (path.ack_pending() && path.receiver().AnythingToAck()) {
-    AckFrame ack = BuildAck(paths_.at(path.id()));
-    const std::size_t size = FrameWireSize(Frame{ack});
+    frames.emplace_back(BuildAck(paths_.at(path.id())));
+    const std::size_t size = FrameWireSize(frames.back());
     if (size <= budget) {
       budget -= size;
-      frames.emplace_back(std::move(ack));
+    } else {
+      ReclaimAckRanges(frames.back());
+      frames.pop_back();
     }
   }
 
@@ -290,17 +301,19 @@ void PacketAssembler::TransmitPacket(Path& path, std::vector<Frame>& frames,
   header.packet_number = path.AllocatePacketNumber();
 
   // Single-buffer assembly: header and frames are encoded into one
-  // writer and the payload is sealed where it lies — the only per-packet
-  // allocation left is the outgoing datagram itself (the network takes
-  // ownership of it).
-  BufWriter writer(config_.max_packet_size.value() + crypto::kAeadTagSize);
+  // writer and the payload is sealed where it lies. The buffer comes from
+  // the simulator's free list, and the network returns it there once the
+  // datagram is delivered or dropped.
+  BufWriter writer(sim_.TakeBuffer(),
+                   config_.max_packet_size.value() + crypto::kAeadTagSize);
   EncodeHeader(header, path.largest_acked(), writer);
   const std::size_t header_size = writer.size();
 
-  for (const Frame& frame : frames) {
+  for (Frame& frame : frames) {
     const auto* stream = std::get_if<StreamFrame>(&frame);
     if (stream == nullptr) {
       EncodeFrame(frame, writer);
+      ReclaimAckRanges(frame);
       continue;
     }
     // A descriptor: the payload goes from the stream's source straight
@@ -322,15 +335,12 @@ void PacketAssembler::TransmitPacket(Path& path, std::vector<Frame>& frames,
   const std::size_t packet_size = writer.size();
 
   if (retransmittable) {
-    SentPacket tracked;
-    tracked.pn = header.packet_number;
-    tracked.sent_time = sim_.now();
-    tracked.bytes = ByteCount{packet_size};
+    std::vector<Frame>& tracked = path.OnPacketSent(
+        header.packet_number, sim_.now(), ByteCount{packet_size});
     for (Frame& frame : frames) {
-      if (IsRetransmittable(frame)) tracked.frames.push_back(std::move(frame));
+      if (IsRetransmittable(frame)) tracked.push_back(std::move(frame));
     }
     ConsumePaceTokens(paths_.at(path.id()), ByteCount{packet_size});
-    path.OnPacketSent(std::move(tracked));
     recovery_.OnPacketTracked(path);
   }
   ++stats_.packets_sent;

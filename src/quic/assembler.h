@@ -1,9 +1,9 @@
 // Packet assembly and transmission: frame packing under the byte budget,
 // sealing, retransmittable-packet tracking, delayed-ACK scheduling and
 // per-path pacing. The assembler owns the send half of the datapath —
-// the recycled frame scratch, the sealing keys, the per-path ack/pace
-// token state — and is the only layer that calls the datagram send
-// function.
+// the recycled frame scratch and ACK range storage, the sealing keys,
+// the per-path ack/pace token state — and is the only layer that calls
+// the datagram send function.
 //
 // Packing order per packet (§2/§3): piggybacked ACK, path-pinned control
 // frames, shared control frames, then stream data round-robined across
@@ -77,9 +77,11 @@ class PacketAssembler {
   void SendAckOnlyPacket(Path& path);
   void SendPing(Path& path, bool track);
   /// `frames` is consumed (retransmittable frames are moved into the sent-
-  /// packet record) but the vector's allocation stays with the caller, so
+  /// packet record, an ACK frame's ranges go back to the assembler's
+  /// storage) but the vector's allocation stays with the caller, so
   /// per-packet scratch can be recycled. STREAM payloads are read from
-  /// their send stream's source while the packet is encoded.
+  /// their send stream's source while the packet is encoded, into a
+  /// datagram buffer from the simulator's free list.
   void TransmitPacket(Path& path, std::vector<Frame>& frames,
                       bool retransmittable, bool handshake_cleartext);
 
@@ -112,6 +114,9 @@ class PacketAssembler {
   };
 
   AckFrame BuildAck(PathSendState& state);
+  /// Take back the range storage BuildAck lent to an ACK frame (no-op for
+  /// other frames).
+  void ReclaimAckRanges(Frame& frame);
   /// Bytes/microsecond this path may currently emit.
   double PacingRate(const Path& path) const;
   void RefillPaceTokens(PathSendState& state);
@@ -140,12 +145,17 @@ class PacketAssembler {
   StreamId next_stream_to_serve_{};
   ByteCount new_stream_bytes_sent_{};
 
-  // Recycled per-packet scratch. The capacity survives across packets so
-  // the steady-state datapath allocates only the outgoing datagram itself.
-  // SendOnePacket fills one, SendAckOnlyPacket/SendPing the other; both
-  // are done with before TransmitPacket hands the datagram on.
+  // Recycled per-packet scratch. The capacity survives across packets, so
+  // together with the recycled datagram buffer, the sent-packet ring and
+  // the ACK range storage, assembling a packet does not allocate in the
+  // steady state. SendOnePacket fills one vector, SendAckOnlyPacket/
+  // SendPing the other; both are done with before TransmitPacket hands
+  // the datagram on.
   std::vector<Frame> send_frames_scratch_;
   std::vector<Frame> single_frame_scratch_;
+  /// ACK range storage: lent to the ACK frame BuildAck makes, reclaimed
+  /// once that frame is encoded.
+  std::vector<AckFrame::Range> ack_ranges_;
 };
 
 }  // namespace mpq::quic

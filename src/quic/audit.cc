@@ -53,12 +53,18 @@ void Auditor::Impl::CheckPath(const Path& path) {
 
   ByteCount tracked_in_flight{0};
   PacketNumber prev{0};
-  for (const auto& [pn, packet] : path.sent_) {
-    AUDIT(pn == packet.pn, "sent_ key disagrees with the packet record");
-    AUDIT(pn > prev, "sent_ packet numbers not strictly increasing");
-    AUDIT(pn < path.next_pn_, "sent_ holds an unallocated packet number");
+  path.sent_.ForEach([&](const SentPacket& packet) {
+    AUDIT(packet.pn >= path.sent_.base() && packet.pn < path.sent_.end(),
+          "sent_ record outside the ring's window");
+    AUDIT(packet.pn > prev, "sent_ packet numbers not strictly increasing");
+    AUDIT(packet.pn < path.next_pn_,
+          "sent_ holds an unallocated packet number");
     tracked_in_flight += packet.bytes;
-    prev = pn;
+    prev = packet.pn;
+  });
+  if (!path.sent_.empty()) {
+    AUDIT(path.sent_.front().pn == path.sent_.base(),
+          "sent_ ring's oldest record is not at its base");
   }
   AUDIT(path.congestion_->bytes_in_flight() == tracked_in_flight,
         "bytes_in_flight != sum of tracked sent packets");

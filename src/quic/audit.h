@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 
 #include "quic/path.h"
@@ -56,8 +55,7 @@ class Auditor {
 
   /// Digest helper: read-only view of `path`'s tracked in-flight packets
   /// (private state exposed through the Auditor friendship).
-  static const std::map<PacketNumber, SentPacket>& SentPackets(
-      const Path& path);
+  static const SentPacketRing& SentPackets(const Path& path);
 
  private:
   class Impl;

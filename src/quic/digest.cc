@@ -87,14 +87,14 @@ void HashPath(Hasher& h, const Path& path) {
   h.U64(path.congestion().congestion_window().value());
   h.U64(path.congestion().bytes_in_flight().value());
 
-  // Tracked in-flight packets (ordered map: deterministic walk).
-  const auto& sent = Auditor::SentPackets(path);
+  // Tracked in-flight packets (ascending packet numbers: deterministic).
+  const SentPacketRing& sent = Auditor::SentPackets(path);
   h.U64(sent.size());
-  for (const auto& [pn, packet] : sent) {
-    h.U64(pn.value());
+  sent.ForEach([&h](const SentPacket& packet) {
+    h.U64(packet.pn.value());
     h.U64(packet.bytes.value());
     h.U64(packet.frames.size());
-  }
+  });
 
   // Receive side: the coalesced ACK ranges.
   const auto ranges = path.receiver().BuildAckRanges();
@@ -109,8 +109,7 @@ void HashPath(Hasher& h, const Path& path) {
 
 // Private-state accessors for the digest, routed through the Auditor
 // friendship so Path/streams/dispatcher need no new friends.
-const std::map<PacketNumber, SentPacket>& Auditor::SentPackets(
-    const Path& path) {
+const SentPacketRing& Auditor::SentPackets(const Path& path) {
   return path.sent_;
 }
 

@@ -12,7 +12,11 @@ namespace mpq::quic {
 FrameDispatcher::FrameDispatcher(sim::Simulator& sim, ConnectionId cid,
                                  ConnectionStats& stats, FlowController& flow,
                                  DispatchDelegate& delegate)
-    : sim_(sim), cid_(cid), stats_(stats), flow_(flow), delegate_(delegate) {}
+    : sim_(sim), cid_(cid), stats_(stats), flow_(flow), delegate_(delegate) {
+  // Sized for a full packet up front: Open assigns into this scratch, and
+  // growing it to each new largest packet size would reallocate each time.
+  recv_plaintext_scratch_.reserve(kMaxPacketSize);
+}
 
 void FrameDispatcher::SetOpener(
     std::unique_ptr<crypto::PacketProtection> open) {
@@ -68,7 +72,7 @@ void FrameDispatcher::OnEncryptedPacket(
     path.UpdateAddresses(datagram.dst, datagram.src);
   }
   std::vector<Frame>& frames = recv_frames_scratch_;
-  if (!DecodePayload(plaintext, frames)) return;
+  if (!DecodePayload(plaintext, frames, ack_ranges_spare_)) return;
 
   bool any_retransmittable = false;
   for (const Frame& frame : frames) {

@@ -112,6 +112,10 @@ class FrameDispatcher {
   // Recycled per-packet scratch (see assembler.h for the rationale).
   std::vector<std::uint8_t> recv_plaintext_scratch_;
   std::vector<Frame> recv_frames_scratch_;
+  /// Range storage for decoded ACK frames: the ACKs in
+  /// recv_frames_scratch_ give theirs back here before the next packet is
+  /// decoded (DecodePayload), so clearing the scratch frees none.
+  AckRangeStore ack_ranges_spare_;
 };
 
 }  // namespace mpq::quic

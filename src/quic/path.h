@@ -4,7 +4,7 @@
 // passive state machine — the Connection drives it and owns the timers.
 #pragma once
 
-#include <map>
+#include <cstddef>
 #include <memory>
 #include <vector>
 
@@ -22,6 +22,76 @@ struct SentPacket {
   TimePoint sent_time = 0;
   ByteCount bytes{};  // full wire size, charged to the congestion window
   std::vector<Frame> frames;  // retransmittable frames only
+};
+
+/// The retransmittable packets in flight on one path, indexed by
+/// `pn - base`. Packet numbers only grow, and ack-only packets are never
+/// tracked, so the window [base, end) holds live records and holes; the
+/// oldest live record is always at `base` (holes there are dropped at
+/// once). The ring doubles when the window outgrows it. A slot keeps its
+/// frame vector's capacity across reuse, and the vector of a record moved
+/// out (a lost packet) comes back through Recycle, so tracking a packet
+/// does not allocate once the ring is warm.
+class SentPacketRing {
+ public:
+  bool empty() const { return live_ == 0; }
+  std::size_t size() const { return live_; }
+  /// The oldest tracked packet. Precondition: !empty().
+  const SentPacket& front() const { return slots_[head_]; }
+  /// Lowest packet number in the window.
+  PacketNumber base() const { return base_; }
+  /// One past the newest packet number in the window.
+  PacketNumber end() const { return base_ + PacketNumber{span_}; }
+
+  /// The live record for `pn`, or nullptr.
+  SentPacket* Find(PacketNumber pn) {
+    if (pn < base_ || pn >= end()) return nullptr;
+    SentPacket& slot = Slot(pn);
+    return slot.pn == pn ? &slot : nullptr;
+  }
+
+  /// Track `pn` (above every packet number tracked before) and return its
+  /// record: `frames` empty, capacity recycled.
+  SentPacket& Insert(PacketNumber pn);
+
+  /// Stop tracking the live record `pn`, moving it out to `out` if given
+  /// (the slot's frame capacity then goes with it).
+  void Erase(PacketNumber pn, SentPacket* out = nullptr);
+
+  /// Move every live record out, oldest first, and empty the ring.
+  void TakeAll(std::vector<SentPacket>& out);
+
+  /// Give back the frame vector of a record moved out, for a slot whose
+  /// own vector went with a record.
+  void Recycle(std::vector<Frame>&& frames) {
+    if (frames.capacity() == 0) return;
+    frames.clear();
+    spare_frames_.push_back(std::move(frames));
+  }
+
+  /// Visit the live records, oldest first.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (std::size_t i = 0; i < span_; ++i) {
+      const SentPacket& slot = slots_[(head_ + i) & (slots_.size() - 1)];
+      if (slot.pn != 0) fn(slot);
+    }
+  }
+
+ private:
+  SentPacket& Slot(PacketNumber pn) {
+    return slots_[(head_ + (pn - base_).value()) & (slots_.size() - 1)];
+  }
+  /// Re-lay the window from index 0 of a ring of `capacity` slots.
+  void Grow(std::size_t capacity);
+
+  /// Power-of-two sized; a slot with pn 0 is a hole (numbers start at 1).
+  std::vector<SentPacket> slots_;
+  std::size_t head_ = 0;   // slot of base_
+  std::size_t span_ = 0;   // slots in the window
+  std::size_t live_ = 0;   // live records in the window
+  PacketNumber base_{};
+  std::vector<std::vector<Frame>> spare_frames_;
 };
 
 class Path {
@@ -49,10 +119,14 @@ class Path {
   /// new address pair, write off everything in flight (returned for
   /// requeueing), and reset the measurements that belonged to the old
   /// network path. Packet-number spaces and keys survive.
-  std::vector<SentPacket> Migrate(sim::Address local, sim::Address remote,
-                                  std::unique_ptr<cc::CongestionController>
-                                      fresh_congestion,
-                                  TimePoint now);
+  ///
+  /// Migrate, DetectTimeThresholdLosses and OnRetransmissionTimeout
+  /// return the lost packets in storage the path reuses: the result is
+  /// valid until the next call of any of the three.
+  const std::vector<SentPacket>& Migrate(
+      sim::Address local, sim::Address remote,
+      std::unique_ptr<cc::CongestionController> fresh_congestion,
+      TimePoint now);
 
   // -- sending ----------------------------------------------------------
   PacketNumber AllocatePacketNumber() { return next_pn_++; }
@@ -60,27 +134,41 @@ class Path {
   PacketNumber largest_acked() const { return largest_acked_; }
 
   /// Register a sent retransmittable packet (ack-only packets are neither
-  /// tracked nor congestion-controlled, per QUIC).
-  void OnPacketSent(SentPacket packet) {
-    congestion_->OnPacketSent(packet.sent_time, packet.bytes);
-    last_send_time_ = packet.sent_time;
-    bytes_sent_ += packet.bytes;
-    sent_.emplace(packet.pn, std::move(packet));
+  /// tracked nor congestion-controlled, per QUIC). Returns the record's
+  /// frame list, empty, for the caller to fill with the packet's
+  /// retransmittable frames; it reuses a ring slot's capacity.
+  std::vector<Frame>& OnPacketSent(PacketNumber pn, TimePoint sent_time,
+                                   ByteCount bytes) {
+    congestion_->OnPacketSent(sent_time, bytes);
+    last_send_time_ = sent_time;
+    bytes_sent_ += bytes;
+    SentPacket& packet = sent_.Insert(pn);
+    packet.sent_time = sent_time;
+    packet.bytes = bytes;
+    return packet.frames;
   }
 
+  /// What one ACK frame did. Owned by the path and reused across ACKs.
   struct AckResult {
-    std::vector<SentPacket> newly_acked;
+    /// A newly acknowledged packet; its frames stay with the ring.
+    struct Acked {
+      PacketNumber pn{};
+      TimePoint sent_time = 0;
+    };
+    std::vector<Acked> newly_acked;  // ascending within each ACK range
     std::vector<SentPacket> lost;
+    bool acked_ping = false;  // a newly acked packet carried a PING
     bool was_new_largest = false;
   };
 
   /// Process an ACK frame for this path's PN space: RTT sampling, CC
-  /// updates, packet-threshold and time-threshold loss detection.
-  AckResult OnAckReceived(const AckFrame& ack, TimePoint now);
+  /// updates, packet-threshold and time-threshold loss detection. The
+  /// result is valid until the next call.
+  const AckResult& OnAckReceived(const AckFrame& ack, TimePoint now);
 
   /// Re-run time-threshold loss detection (called when the loss timer
   /// fires). Packets declared lost are removed and returned.
-  std::vector<SentPacket> DetectTimeThresholdLosses(TimePoint now);
+  const std::vector<SentPacket>& DetectTimeThresholdLosses(TimePoint now);
 
   /// Earliest deadline at which an unacked packet crosses the time
   /// threshold, or kTimeInfinite.
@@ -90,11 +178,11 @@ class Path {
   /// for retransmission (on any path — MPQUIC flexibility, §3). Marks the
   /// path potentially failed if there was no activity since our last
   /// transmission (§4.3 / Linux MPTCP heuristic).
-  std::vector<SentPacket> OnRetransmissionTimeout(TimePoint now);
+  const std::vector<SentPacket>& OnRetransmissionTimeout(TimePoint now);
 
   bool HasInFlight() const { return !sent_.empty(); }
   TimePoint OldestInFlightSentTime() const {
-    return sent_.empty() ? kTimeInfinite : sent_.begin()->second.sent_time;
+    return sent_.empty() ? kTimeInfinite : sent_.front().sent_time;
   }
 
   /// Current RTO duration with exponential backoff applied.
@@ -145,8 +233,15 @@ class Path {
     return std::max<Duration>(base * 9 / 8, 1 * kMillisecond);
   }
 
-  void DeclareLost(std::map<PacketNumber, SentPacket>::iterator it,
-                   TimePoint now, std::vector<SentPacket>& out);
+  void DeclareLost(SentPacket& packet, TimePoint now,
+                   std::vector<SentPacket>& out);
+  /// Empty `lost`, handing its records' frame vectors back to the ring.
+  void RecycleLost(std::vector<SentPacket>& lost);
+  /// Declare tracked packets below largest_acked_ lost by the time
+  /// threshold (and, if `packet_threshold`, the reordering threshold);
+  /// re-derive loss_time_ from the survivors.
+  void DetectLosses(TimePoint now, bool packet_threshold,
+                    std::vector<SentPacket>& lost);
 
   PathId id_;
   sim::Address local_;
@@ -158,7 +253,9 @@ class Path {
   PacketNumber next_pn_{1};
   PacketNumber largest_acked_{};
   TimePoint largest_acked_sent_time_ = 0;
-  std::map<PacketNumber, SentPacket> sent_;
+  SentPacketRing sent_;
+  AckResult ack_result_;
+  std::vector<SentPacket> timer_lost_;  // see Migrate
   TimePoint loss_time_ = kTimeInfinite;
   TimePoint last_send_time_ = -1;
   TimePoint last_ack_time_ = -1;

@@ -67,7 +67,7 @@ void RecoveryManager::OnAckReceived(Path& path, const AckFrame& ack) {
   MPQ_PROF_SCOPE("recovery/ack");
   PathRecovery& rec = paths_.at(path.id());
   const bool was_failed = path.potentially_failed();
-  Path::AckResult result = path.OnAckReceived(ack, sim_.now());
+  const Path::AckResult& result = path.OnAckReceived(ack, sim_.now());
   if (tracer_ != nullptr) {
     for (const SentPacket& lost : result.lost) {
       tracer_->OnPacketLost(sim_.now(), ack.path_id, lost.pn);
@@ -77,17 +77,13 @@ void RecoveryManager::OnAckReceived(Path& path, const AckFrame& ack) {
                           path.congestion().bytes_in_flight(),
                           path.rtt().smoothed());
   }
-  for (const SentPacket& packet : result.newly_acked) {
-    if (tracer_ != nullptr) {
+  if (tracer_ != nullptr) {
+    for (const Path::AckResult::Acked& packet : result.newly_acked) {
       tracer_->OnPacketLifecycle(sim_.now(), ack.path_id, packet.pn, "acked",
                                  sim_.now() - packet.sent_time);
     }
-    for (const Frame& frame : packet.frames) {
-      if (std::holds_alternative<PingFrame>(frame)) {
-        rec.ping_probe_outstanding = false;
-      }
-    }
   }
+  if (result.acked_ping) rec.ping_probe_outstanding = false;
   if (was_failed && !path.potentially_failed()) {
     if (tracer_ != nullptr) {
       tracer_->OnPathStateChange(sim_.now(), ack.path_id, "recovered");
@@ -95,7 +91,7 @@ void RecoveryManager::OnAckReceived(Path& path, const AckFrame& ack) {
     rec.probe_timer->Cancel();
     delegate_.OnPathRecovered(ack.path_id);
   }
-  RequeueLostFrames(ack.path_id, std::move(result.lost));
+  RequeueLostFrames(ack.path_id, result.lost);
   RearmRetxTimer(rec);
 }
 
@@ -103,8 +99,8 @@ void RecoveryManager::OnPacketTracked(Path& path) {
   RearmRetxTimer(paths_.at(path.id()));
 }
 
-void RecoveryManager::RequeueLostFrames(PathId path,
-                                        std::vector<SentPacket> lost) {
+void RecoveryManager::RequeueLostFrames(
+    PathId path, const std::vector<SentPacket>& lost) {
   // Only frames that are actually fed back for retransmission count
   // toward the retransmit stats — PINGs from lost packets are dropped,
   // not retransmitted.
@@ -112,19 +108,19 @@ void RecoveryManager::RequeueLostFrames(PathId path,
     ++stats_.frames_retransmitted;
     stats_.bytes_retransmitted += FrameWireSize(frame);
   };
-  for (SentPacket& packet : lost) {
+  for (const SentPacket& packet : lost) {
     // Terminal lifecycle event for the lost packet, whether the loss was
     // ack-implied (OnAckReceived) or timer-driven (OnRetxTimer).
     if (tracer_ != nullptr) {
       tracer_->OnPacketLifecycle(sim_.now(), path, packet.pn, "lost",
                                  sim_.now() - packet.sent_time);
     }
-    for (Frame& frame : packet.frames) {
+    for (const Frame& frame : packet.frames) {
       if (tracer_ != nullptr) {
         tracer_->OnFrameRetransmitQueued(sim_.now(), path, frame);
       }
       std::visit(
-          [&](auto& f) {
+          [&](const auto& f) {
             using T = std::decay_t<decltype(f)>;
             if constexpr (std::is_same_v<T, StreamFrame>) {
               count(frame);
@@ -146,7 +142,7 @@ void RecoveryManager::RequeueLostFrames(PathId path,
               // they are (it drains handshake cleartext ahead of stream
               // data; an RST_STREAM abort notice is itself reliable).
               count(frame);
-              delegate_.RequeueControlFrame(std::move(f));
+              delegate_.RequeueControlFrame(f);
             }
             // PING / BLOCKED / CONNECTION_CLOSE: not worth retransmitting
             // (probe timers re-issue pings).

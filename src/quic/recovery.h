@@ -82,7 +82,7 @@ class RecoveryManager {
   /// Feed every retransmittable frame of `lost` back for retransmission
   /// via the delegate. `path` labels the tracer events only — the frames
   /// may go out on any path.
-  void RequeueLostFrames(PathId path, std::vector<SentPacket> lost);
+  void RequeueLostFrames(PathId path, const std::vector<SentPacket>& lost);
 
   /// Path migrated: its in-flight state was written off, stop its timers.
   void OnPathMigrated(PathId id);

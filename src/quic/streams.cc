@@ -25,10 +25,15 @@ SendStream::NextFrameResult SendStream::NextFrame(
   // 1. Retransmissions first: they consume no new flow-control credit and
   //    unblock the receiver fastest.
   if (!retransmit_.empty()) {
-    const auto [offset, range] = *retransmit_.begin();
-    const ByteCount len = std::min<ByteCount>(range, max_payload);
-    retransmit_.erase(retransmit_.begin());
-    if (len < range) retransmit_.emplace(offset + len, range - len);
+    Range& front = retransmit_.front();
+    const ByteCount offset = front.offset;
+    const ByteCount len = std::min<ByteCount>(front.length, max_payload);
+    if (len < front.length) {
+      front.offset += len;
+      front.length -= len;
+    } else {
+      retransmit_.erase(retransmit_.begin());
+    }
     // FIN rides along if this chunk reaches the end of the stream.
     const bool fin = fin_lost_ && offset + len >= total_size();
     if (fin) fin_lost_ = false;
@@ -68,20 +73,29 @@ void SendStream::OnFrameLost(ByteCount offset, ByteCount length, bool fin) {
   // Insert [offset, offset+length) and coalesce with neighbours.
   ByteCount start = offset;
   ByteCount end = offset + length;
-  auto it = retransmit_.lower_bound(start);
+  auto it = std::lower_bound(
+      retransmit_.begin(), retransmit_.end(), start,
+      [](const Range& range, ByteCount v) { return range.offset < v; });
   if (it != retransmit_.begin()) {
     auto prev = std::prev(it);
-    if (prev->first + prev->second >= start) {
-      start = prev->first;
-      end = std::max(end, prev->first + prev->second);
-      it = retransmit_.erase(prev);
+    if (prev->offset + prev->length >= start) {
+      start = prev->offset;
+      end = std::max(end, prev->offset + prev->length);
+      it = prev;
     }
   }
-  while (it != retransmit_.end() && it->first <= end) {
-    end = std::max(end, it->first + it->second);
-    it = retransmit_.erase(it);
+  auto last = it;
+  while (last != retransmit_.end() && last->offset <= end) {
+    end = std::max(end, last->offset + last->length);
+    ++last;
   }
-  retransmit_.emplace(start, end - start);
+  // Overwrite the first absorbed range (or insert), drop the rest.
+  if (it == last) {
+    retransmit_.insert(it, Range{start, end - start});
+  } else {
+    *it = Range{start, end - start};
+    retransmit_.erase(it + 1, last);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -103,34 +117,21 @@ ByteCount RecvStream::OnStreamFrame(const StreamFrame& frame) {
     // Trim the already-delivered prefix. Overlaps with other buffered
     // segments are tolerated (delivery skips duplicate bytes).
     const ByteCount start = std::max(frame.offset, delivered_);
-    const std::size_t skip = (start - frame.offset).value();
+    const std::span<const std::uint8_t> fresh =
+        frame.data.subspan((start - frame.offset).value());
 
-    if (segments_.empty() && start == delivered_) {
-      // In-order fast path — the overwhelmingly common case: hand the
-      // payload to the sink straight from the frame, never buffering it.
-      const std::span<const std::uint8_t> fresh(frame.data.data() + skip,
-                                                frame.data.size() - skip);
+    if (start == delivered_) {
+      // In order — the overwhelmingly common case — or filling the gap
+      // below the buffered segments: hand the payload to the sink
+      // straight from the frame, never buffering it.
       const bool finished =
           fin_known_ && !fin_signaled_ && frame_end >= final_size_;
       if (finished) fin_signaled_ = true;
       if (sink_) sink_(delivered_, fresh, finished);
       delivered_ = frame_end;
-      return window_growth;
-    }
-
-    // Out of order: the view dies with the packet, so this is the one
-    // place the payload is copied.
-    std::vector<std::uint8_t> data(frame.data.begin() + skip,
-                                   frame.data.end());
-    // try_emplace leaves `data` intact when the offset is already present.
-    auto [it, inserted] = segments_.try_emplace(start, std::move(data));
-    if (inserted) {
-      buffered_ += it->second.size();
-    } else if (it->second.size() < data.size()) {
-      // Same offset seen twice: keep the longer one.
-      buffered_ -= it->second.size();
-      it->second = std::move(data);
-      buffered_ += it->second.size();
+      if (segments_.empty()) return window_growth;
+    } else {
+      Buffer(start, fresh);
     }
   }
   DeliverInOrder();
@@ -143,28 +144,58 @@ ByteCount RecvStream::OnStreamFrame(const StreamFrame& frame) {
   return window_growth;
 }
 
+void RecvStream::Buffer(ByteCount start, std::span<const std::uint8_t> data) {
+  auto it = std::lower_bound(
+      segments_.begin(), segments_.end(), start,
+      [](const Segment& segment, ByteCount v) { return segment.offset < v; });
+  if (it != segments_.end() && it->offset == start) {
+    // Same offset seen twice: keep the longer one.
+    if (it->data.size() < data.size()) {
+      buffered_ -= it->data.size();
+      it->data.assign(data.begin(), data.end());
+      buffered_ += it->data.size();
+    }
+    return;
+  }
+  // Out of order: the view dies with the packet, so this is the one
+  // place the payload is copied — into a recycled buffer.
+  std::vector<std::uint8_t> buffer;
+  if (!spare_buffers_.empty()) {
+    buffer = std::move(spare_buffers_.back());
+    spare_buffers_.pop_back();
+  }
+  buffer.assign(data.begin(), data.end());
+  buffered_ += buffer.size();
+  segments_.insert(it, Segment{start, std::move(buffer)});
+}
+
 void RecvStream::DeliverInOrder() {
-  while (!segments_.empty()) {
-    auto it = segments_.begin();
-    if (it->first > delivered_) break;  // gap
-    const ByteCount seg_end = it->first + it->second.size();
+  std::size_t done = 0;
+  for (; done < segments_.size(); ++done) {
+    const Segment& segment = segments_[done];
+    if (segment.offset > delivered_) break;  // gap
+    const ByteCount seg_end = segment.offset + segment.data.size();
     if (seg_end <= delivered_) {
-      buffered_ -= it->second.size();
-      segments_.erase(it);
+      buffered_ -= segment.data.size();
       continue;  // fully duplicate
     }
-    const std::size_t skip = (delivered_ - it->first).value();
-    std::span<const std::uint8_t> fresh(it->second.data() + skip,
-                                        it->second.size() - skip);
+    const std::size_t skip = (delivered_ - segment.offset).value();
+    const std::span<const std::uint8_t> fresh(segment.data.data() + skip,
+                                              segment.data.size() - skip);
     const ByteCount new_delivered = seg_end;
     const bool finished =
         fin_known_ && !fin_signaled_ && new_delivered >= final_size_;
     if (finished) fin_signaled_ = true;
     if (sink_) sink_(delivered_, fresh, finished);
     delivered_ = new_delivered;
-    buffered_ -= it->second.size();
-    segments_.erase(it);
+    buffered_ -= segment.data.size();
   }
+  if (done == 0) return;
+  for (std::size_t i = 0; i < done; ++i) {
+    spare_buffers_.push_back(std::move(segments_[i].data));
+  }
+  segments_.erase(segments_.begin(),
+                  segments_.begin() + static_cast<std::ptrdiff_t>(done));
 }
 
 }  // namespace mpq::quic

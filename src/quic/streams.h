@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <span>
 #include <vector>
@@ -86,8 +85,14 @@ class SendStream {
   bool fin_sent_ = false;
   bool fin_lost_ = false;  // FIN needs retransmission
   ByteCount peer_max_stream_data_ = kDefaultReceiveWindow;
-  // Pending retransmission ranges, keyed by offset (coalesced on insert).
-  std::map<ByteCount, ByteCount> retransmit_;  // offset -> length
+  /// A byte range of the stream awaiting retransmission.
+  struct Range {
+    ByteCount offset;
+    ByteCount length;
+  };
+  // Pending retransmission ranges, sorted by offset, disjoint and
+  // coalesced on insert.
+  std::vector<Range> retransmit_;
 };
 
 // ---------------------------------------------------------------------------
@@ -111,10 +116,11 @@ class RecvStream {
 
   /// Process one STREAM frame. Returns the increase of this stream's
   /// highest-received offset (the amount of receive window newly consumed
-  /// at connection level); 0 for pure duplicates. In-order data is handed
-  /// to the sink straight from the frame's view (no copy); only a segment
-  /// that must wait for a gap is copied, into the reassembly buffer — the
-  /// view dies with the packet.
+  /// at connection level); 0 for pure duplicates. Data that starts at the
+  /// delivered offset — in order, or filling the gap below buffered
+  /// segments — is handed to the sink straight from the frame's view (no
+  /// copy); only a segment that must wait for a gap is copied, into a
+  /// reassembly buffer — the view dies with the packet.
   ByteCount OnStreamFrame(const StreamFrame& frame);
 
   StreamId id() const { return id_; }
@@ -129,6 +135,14 @@ class RecvStream {
   ByteCount buffered_bytes() const { return buffered_; }
 
  private:
+  /// An out-of-order segment waiting for the gap below it to fill.
+  struct Segment {
+    ByteCount offset;
+    std::vector<std::uint8_t> data;
+  };
+
+  /// Copy out-of-order data starting at `start` into a segment.
+  void Buffer(ByteCount start, std::span<const std::uint8_t> data);
   void DeliverInOrder();
 
   StreamId id_;
@@ -139,7 +153,11 @@ class RecvStream {
   bool fin_known_ = false;
   bool fin_signaled_ = false;  // the sink saw finished=true exactly once
   ByteCount final_size_{};
-  std::map<ByteCount, std::vector<std::uint8_t>> segments_;  // by offset
+  /// Sorted by offset, offsets distinct, every offset above delivered_
+  /// between calls.
+  std::vector<Segment> segments_;
+  /// Buffers of delivered segments, reused for the next ones.
+  std::vector<std::vector<std::uint8_t>> spare_buffers_;
 };
 
 // ---------------------------------------------------------------------------

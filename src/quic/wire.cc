@@ -289,7 +289,40 @@ void EncodeStreamFrameHeader(const StreamFrame& frame, BufWriter& out) {
   out.WriteU8(frame.fin ? 1 : 0);
 }
 
-bool DecodeFrame(BufReader& in, Frame& out) {
+namespace {
+
+/// ACK body after the type byte, appended to `f.ranges` (which the
+/// caller passes empty, possibly with recycled capacity).
+bool DecodeAckBody(BufReader& in, AckFrame& f) {
+  std::uint64_t delay = 0, count = 0;
+  std::uint8_t pid = 0;
+  if (!in.ReadU8(pid) || !in.ReadVarint(delay) || !in.ReadVarint(count)) {
+    return false;
+  }
+  f.path_id = PathId{pid};
+  f.ack_delay = static_cast<Duration>(delay);
+  if (count > AckFrame::kMaxAckRanges) return false;
+  if (count > 0) {
+    std::uint64_t largest = 0, len = 0;
+    if (!in.ReadVarint(largest) || !in.ReadVarint(len)) return false;
+    if (len > largest) return false;
+    f.ranges.push_back({PacketNumber{largest - len}, PacketNumber{largest}});
+    for (std::uint64_t i = 1; i < count; ++i) {
+      std::uint64_t gap = 0;
+      if (!in.ReadVarint(gap) || !in.ReadVarint(len)) return false;
+      const PacketNumber prev_smallest = f.ranges.back().smallest;
+      if (gap < 2 || gap > prev_smallest) return false;
+      const PacketNumber range_largest = prev_smallest - gap;
+      if (len > range_largest) return false;
+      f.ranges.push_back({range_largest - len, range_largest});
+    }
+  }
+  return true;
+}
+
+/// DecodeFrame; an ACK takes its range vector from `spare` when one is
+/// given and not empty.
+bool DecodeOneFrame(BufReader& in, Frame& out, AckRangeStore* spare) {
   std::uint8_t type = 0;
   if (!in.ReadU8(type)) return false;
 
@@ -404,30 +437,11 @@ bool DecodeFrame(BufReader& in, Frame& out) {
     }
     case FrameType::kAck: {
       AckFrame f;
-      std::uint64_t delay = 0, count = 0;
-      std::uint8_t pid = 0;
-      if (!in.ReadU8(pid) || !in.ReadVarint(delay) ||
-          !in.ReadVarint(count)) {
-        return false;
+      if (spare != nullptr && !spare->empty()) {
+        f.ranges = std::move(spare->back());
+        spare->pop_back();
       }
-      f.path_id = PathId{pid};
-      f.ack_delay = static_cast<Duration>(delay);
-      if (count > AckFrame::kMaxAckRanges) return false;
-      if (count > 0) {
-        std::uint64_t largest = 0, len = 0;
-        if (!in.ReadVarint(largest) || !in.ReadVarint(len)) return false;
-        if (len > largest) return false;
-        f.ranges.push_back({PacketNumber{largest - len}, PacketNumber{largest}});
-        for (std::uint64_t i = 1; i < count; ++i) {
-          std::uint64_t gap = 0;
-          if (!in.ReadVarint(gap) || !in.ReadVarint(len)) return false;
-          const PacketNumber prev_smallest = f.ranges.back().smallest;
-          if (gap < 2 || gap > prev_smallest) return false;
-          const PacketNumber range_largest = prev_smallest - gap;
-          if (len > range_largest) return false;
-          f.ranges.push_back({range_largest - len, range_largest});
-        }
-      }
+      if (!DecodeAckBody(in, f)) return false;
       out = std::move(f);
       return true;
     }
@@ -451,16 +465,34 @@ bool DecodeFrame(BufReader& in, Frame& out) {
   }
 }
 
+}  // namespace
+
+bool DecodeFrame(BufReader& in, Frame& out) {
+  return DecodeOneFrame(in, out, nullptr);
+}
+
 bool DecodePayload(std::span<const std::uint8_t> payload,
-                   std::vector<Frame>& out) {
-  BufReader reader(payload);
+                   std::vector<Frame>& out, AckRangeStore& spare) {
+  for (Frame& frame : out) {
+    if (auto* ack = std::get_if<AckFrame>(&frame)) {
+      ack->ranges.clear();
+      spare.push_back(std::move(ack->ranges));
+    }
+  }
   out.clear();
+  BufReader reader(payload);
   while (!reader.AtEnd()) {
     Frame frame;
-    if (!DecodeFrame(reader, frame)) return false;
+    if (!DecodeOneFrame(reader, frame, &spare)) return false;
     out.push_back(std::move(frame));
   }
   return true;
+}
+
+bool DecodePayload(std::span<const std::uint8_t> payload,
+                   std::vector<Frame>& out) {
+  AckRangeStore spare;
+  return DecodePayload(payload, out, spare);
 }
 
 bool IsRetransmittable(const Frame& frame) {

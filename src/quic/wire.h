@@ -216,8 +216,17 @@ void EncodeStreamFrameHeader(const StreamFrame& frame, BufWriter& out);
 /// Decode one frame. Returns false on malformed input.
 bool DecodeFrame(BufReader& in, Frame& out);
 
+/// Recycled range vectors for decoded ACK frames (see DecodePayload).
+using AckRangeStore = std::vector<std::vector<AckFrame::Range>>;
+
 /// Decode an entire payload into frames. Returns false if any frame is
-/// malformed (the packet is then dropped whole).
+/// malformed (the packet is then dropped whole). The ACK frames `out`
+/// holds from the previous call give their range vectors to `spare`
+/// before it is cleared, and decoded ACKs take theirs from it, so a
+/// long-lived (out, spare) pair decodes ACKs without allocating.
+bool DecodePayload(std::span<const std::uint8_t> payload,
+                   std::vector<Frame>& out, AckRangeStore& spare);
+/// As above, with range storage that lives for this call only.
 bool DecodePayload(std::span<const std::uint8_t> payload,
                    std::vector<Frame>& out);
 

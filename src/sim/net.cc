@@ -82,12 +82,14 @@ void Link::Transmit(Datagram dgram) {
   ++stats_.offered;
   if (down_) {
     ++stats_.dropped_link_down;
+    Discard(dgram);
     return;
   }
   const ByteCount wire_bytes =
       ByteCount{dgram.payload.size()} + config_.per_packet_overhead;
   if (queued_bytes_ + wire_bytes > config_.queue_capacity_bytes) {
     ++stats_.dropped_queue_full;
+    Discard(dgram);
     return;
   }
   queued_bytes_ += wire_bytes;
@@ -98,38 +100,50 @@ void Link::Transmit(Datagram dgram) {
       busy_until_ > sim_.now() ? busy_until_ : sim_.now();
   const TimePoint tx_done = start + TransmissionTime(wire_bytes);
   busy_until_ = tx_done;
-  // One event at transmission completion: free the queue space, then (if
-  // the wire does not eat the packet) deliver after the propagation delay.
-  sim_.ScheduleAt(tx_done, [this, wire_bytes,
-                            dgram = std::move(dgram)]() mutable {
-    queued_bytes_ -= wire_bytes;
-    // A link that went down mid-serialization loses the packet too; no
-    // RNG draw, so up/down cycles leave other links' loss sequences
-    // untouched.
-    if (down_) {
-      ++stats_.dropped_link_down;
-      return;
-    }
-    if (WireLoss()) {
-      ++stats_.dropped_random;
-      return;
-    }
-    Duration propagation = config_.propagation_delay;
-    if (config_.jitter > 0) {
-      propagation += static_cast<Duration>(
-          rng_.NextBounded(static_cast<std::uint64_t>(config_.jitter) + 1));
-    }
-    // The delivery event is tagged so the explorer can treat it as an
-    // adversarial target (drop/duplicate) and group it by destination.
-    sim_.Schedule(
-        propagation,
-        [this, wire_bytes, dgram = std::move(dgram)]() mutable {
-          ++stats_.delivered;
-          stats_.wire_bytes_delivered += wire_bytes;
-          if (deliver_) deliver_(std::move(dgram));
-        },
-        EventKind::kDelivery, delivery_scope_);
-  });
+  // One event at transmission completion. The datagram travels in the
+  // event's slot; the capture stays within std::function's inline buffer.
+  sim_.ScheduleDatagramAt(tx_done, std::move(dgram),
+                          [this, wire_bytes](Datagram&& d) {
+                            OnSerialized(std::move(d), wire_bytes);
+                          });
+}
+
+void Link::OnSerialized(Datagram&& dgram, ByteCount wire_bytes) {
+  queued_bytes_ -= wire_bytes;
+  // A link that went down mid-serialization loses the packet too; no
+  // RNG draw, so up/down cycles leave other links' loss sequences
+  // untouched.
+  if (down_) {
+    ++stats_.dropped_link_down;
+    Discard(dgram);
+    return;
+  }
+  if (WireLoss()) {
+    ++stats_.dropped_random;
+    Discard(dgram);
+    return;
+  }
+  Duration propagation = config_.propagation_delay;
+  if (config_.jitter > 0) {
+    propagation += static_cast<Duration>(
+        rng_.NextBounded(static_cast<std::uint64_t>(config_.jitter) + 1));
+  }
+  // The delivery event is tagged so the explorer can treat it as an
+  // adversarial target (drop/duplicate) and group it by destination.
+  sim_.ScheduleDatagramAt(
+      sim_.now() + propagation, std::move(dgram),
+      [this, wire_bytes](Datagram&& d) { OnArrived(std::move(d), wire_bytes); },
+      EventKind::kDelivery, delivery_scope_);
+}
+
+void Link::OnArrived(Datagram&& dgram, ByteCount wire_bytes) {
+  ++stats_.delivered;
+  stats_.wire_bytes_delivered += wire_bytes;
+  if (deliver_) {
+    deliver_(std::move(dgram));
+  } else {
+    Discard(dgram);
+  }
 }
 
 void DatagramSocket::Send(Address dst, std::vector<std::uint8_t> payload) {
@@ -192,6 +206,7 @@ void Network::Send(Datagram dgram) {
   if (it == links_by_src_.end()) {
     MPQ_WARN(sim_.now(), "net", "no route from node %u iface %u",
              dgram.src.node, dgram.src.iface);
+    sim_.ReturnBuffer(std::move(dgram.payload));
     return;
   }
   if (!it->second.any_dst && !(it->second.to == dgram.dst)) {
@@ -199,6 +214,7 @@ void Network::Send(Datagram dgram) {
     // address. A mismatched destination is unroutable.
     MPQ_WARN(sim_.now(), "net", "unroutable dst node %u iface %u",
              dgram.dst.node, dgram.dst.iface);
+    sim_.ReturnBuffer(std::move(dgram.payload));
     return;
   }
   it->second.link->Transmit(std::move(dgram));
@@ -206,8 +222,11 @@ void Network::Send(Datagram dgram) {
 
 void Network::Deliver(Datagram&& dgram) {
   auto it = sockets_.find(dgram.dst);
-  if (it == sockets_.end()) return;  // no listener: silently dropped
-  if (it->second->receive_) it->second->receive_(dgram);
+  // No listener: silently dropped.
+  if (it != sockets_.end() && it->second->receive_) {
+    it->second->receive_(dgram);
+  }
+  sim_.ReturnBuffer(std::move(dgram.payload));
 }
 
 }  // namespace mpq::sim

@@ -16,31 +16,10 @@
 
 #include "common/rng.h"
 #include "common/types.h"
+#include "sim/datagram.h"
 #include "sim/simulator.h"
 
 namespace mpq::sim {
-
-/// (node, interface) pair. One interface has exactly one outgoing link in
-/// the topologies used here (disjoint paths), so an Address fully
-/// determines the route.
-struct Address {
-  std::uint16_t node = 0;
-  std::uint16_t iface = 0;
-
-  friend bool operator==(const Address&, const Address&) = default;
-};
-
-struct AddressHash {
-  std::size_t operator()(const Address& a) const {
-    return (std::size_t{a.node} << 16) | a.iface;
-  }
-};
-
-struct Datagram {
-  Address src;
-  Address dst;
-  std::vector<std::uint8_t> payload;
-};
 
 /// Gilbert–Elliott burst-loss channel: a two-state Markov chain evaluated
 /// once per packet at the loss decision point. The channel sits in a Good
@@ -124,7 +103,8 @@ class Link {
   }
 
   /// Offer a datagram to the link. It is queued if there is room and
-  /// silently dropped otherwise (counted in stats).
+  /// silently dropped otherwise (counted in stats). A dropped datagram's
+  /// payload buffer goes back to the simulator's free list.
   void Transmit(Datagram dgram);
 
   /// Change the random loss rate mid-simulation — used by the handover
@@ -179,6 +159,15 @@ class Link {
   /// Draws from the RNG only when a loss model is active, so fault-free
   /// links keep a byte-identical draw sequence.
   bool WireLoss();
+  /// Transmission-completion event: free the queue space, then drop the
+  /// datagram or schedule its delivery.
+  void OnSerialized(Datagram&& dgram, ByteCount wire_bytes);
+  /// Delivery event at the far end of the link.
+  void OnArrived(Datagram&& dgram, ByteCount wire_bytes);
+  /// Hand a dropped datagram's payload buffer back for reuse.
+  void Discard(Datagram& dgram) {
+    sim_.ReturnBuffer(std::move(dgram.payload));
+  }
 
   Simulator& sim_;
   LinkConfig config_;
@@ -258,6 +247,8 @@ class Network {
  private:
   friend class DatagramSocket;
   void Send(Datagram dgram);
+  /// Hand the datagram to its socket, then return its payload buffer to
+  /// the simulator's free list (receive handlers only borrow it).
   void Deliver(Datagram&& dgram);
 
   Simulator& sim_;

@@ -7,13 +7,61 @@
 
 namespace mpq::sim {
 
+Simulator::Event& Simulator::NewEvent(TimePoint when, EventKind kind,
+                                      std::uint32_t scope) {
+  if (when < now_) when = now_;
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Event& event = slots_[slot];
+  event.when = when;
+  event.id = next_id_++;
+  event.kind = kind;
+  event.scope = scope;
+  queue_.push(HeapEntry{when, event.id, slot});
+  ++live_events_;
+  return event;
+}
+
+void Simulator::FreeSlot(std::uint32_t slot) {
+  Event& event = slots_[slot];
+  event.id = 0;
+  event.fn = nullptr;
+  event.on_datagram = nullptr;
+  ReturnBuffer(std::move(event.datagram.payload));
+  free_slots_.push_back(slot);
+  --live_events_;
+}
+
+std::uint32_t Simulator::FindSlot(EventId id) const {
+  if (id == 0) return kNoSlot;
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (slots_[i].id == id) return static_cast<std::uint32_t>(i);
+  }
+  return kNoSlot;
+}
+
 Simulator::EventId Simulator::ScheduleAt(TimePoint when, Callback fn,
                                          EventKind kind, std::uint32_t scope) {
-  if (when < now_) when = now_;
-  const EventId id = next_id_++;
-  pending_.emplace(id, Event{when, id, kind, scope, std::move(fn)});
-  queue_.push(HeapEntry{when, id});
-  return id;
+  Event& event = NewEvent(when, kind, scope);
+  event.fn = std::move(fn);
+  return event.id;
+}
+
+Simulator::EventId Simulator::ScheduleDatagramAt(TimePoint when,
+                                                 Datagram datagram,
+                                                 DatagramCallback fn,
+                                                 EventKind kind,
+                                                 std::uint32_t scope) {
+  Event& event = NewEvent(when, kind, scope);
+  event.datagram = std::move(datagram);
+  event.on_datagram = std::move(fn);
+  return event.id;
 }
 
 Simulator::EventId Simulator::ArmTimer(TimerEntry& entry, TimePoint when) {
@@ -27,9 +75,10 @@ void Simulator::CancelTimer(TimerEntry& entry) { wheel_.Cancel(entry); }
 
 std::vector<Simulator::PendingEventInfo> Simulator::PendingEvents() const {
   std::vector<PendingEventInfo> out;
-  out.reserve(pending_.size() + wheel_.size());
-  for (const auto& [id, event] : pending_) {
-    out.push_back({id, event.when, event.kind, event.scope});
+  out.reserve(live_events_ + wheel_.size());
+  for (const Event& event : slots_) {
+    if (event.id == 0) continue;
+    out.push_back({event.id, event.when, event.kind, event.scope});
   }
   // Wheel timers are pending events like any other; they carry scope 0
   // (timers are dependent with everything), exactly as the heap-based
@@ -64,28 +113,45 @@ void Simulator::FireWheelEntry(TimerEntry& entry, bool pop_earliest) {
   }
 }
 
+void Simulator::FireSlot(std::uint32_t slot) {
+  // Move the callback (and datagram) out before freeing the slot so the
+  // callback may freely schedule/cancel, including into this very slot.
+  Event& event = slots_[slot];
+  Callback fn = std::move(event.fn);
+  DatagramCallback on_datagram = std::move(event.on_datagram);
+  Datagram datagram = std::move(event.datagram);
+  FreeSlot(slot);
+  ++events_executed_;
+  {
+    // Root span of the engine: every protocol callback (and therefore
+    // every nested dispatch/assembly/crypto/recovery span) runs inside
+    // one simulated event, so "sim;event" inclusive time ≈ engine wall
+    // time and its self time is the uninstrumented remainder.
+    MPQ_PROF_SCOPE("sim/event");
+    if (on_datagram) {
+      on_datagram(std::move(datagram));
+    } else {
+      fn();
+    }
+  }
+}
+
 bool Simulator::FireEvent(EventId id) {
-  auto it = pending_.find(id);
-  if (it == pending_.end()) {
+  const std::uint32_t slot = FindSlot(id);
+  if (slot == kNoSlot) {
     TimerEntry* entry = wheel_.FindById(id);
     if (entry == nullptr) return false;
     FireWheelEntry(*entry, /*pop_earliest=*/false);
     return true;
   }
-  Callback fn = std::move(it->second.fn);
-  if (it->second.when > now_) now_ = it->second.when;
-  pending_.erase(it);
-  ++events_executed_;
-  {
-    MPQ_PROF_SCOPE("sim/event");
-    fn();
-  }
+  if (slots_[slot].when > now_) now_ = slots_[slot].when;
+  FireSlot(slot);
   return true;
 }
 
 Simulator::EventId Simulator::DuplicateEvent(EventId id, Duration extra_delay) {
-  auto it = pending_.find(id);
-  if (it == pending_.end()) {
+  const std::uint32_t slot = FindSlot(id);
+  if (slot == kNoSlot) {
     TimerEntry* entry = wheel_.FindById(id);
     if (entry == nullptr) return 0;
     // Clone the timer as a plain heap event invoking a copy of the
@@ -96,24 +162,35 @@ Simulator::EventId Simulator::DuplicateEvent(EventId id, Duration extra_delay) {
         entry->when() + (extra_delay < 0 ? 0 : extra_delay);
     return ScheduleAt(when, std::move(copy), EventKind::kTimer, 0);
   }
-  // Copy the callback (std::function targets are CopyConstructible by
-  // construction) and reuse the normal scheduling path for the clone.
-  Callback copy = it->second.fn;
+  // Copy the callbacks (std::function targets are CopyConstructible by
+  // construction) and the carried datagram — a duplicated delivery holds
+  // its own bytes — before NewEvent may grow the slab.
+  const Event& original = slots_[slot];
   const TimePoint when =
-      it->second.when + (extra_delay < 0 ? 0 : extra_delay);
-  return ScheduleAt(when, std::move(copy), it->second.kind, it->second.scope);
+      original.when + (extra_delay < 0 ? 0 : extra_delay);
+  Callback fn = original.fn;
+  DatagramCallback on_datagram = original.on_datagram;
+  Datagram datagram = original.datagram;
+  Event& copy = NewEvent(when, original.kind, original.scope);
+  copy.fn = std::move(fn);
+  copy.on_datagram = std::move(on_datagram);
+  copy.datagram = std::move(datagram);
+  return copy.id;
 }
 
 void Simulator::Cancel(EventId id) {
-  if (pending_.erase(id) != 0) return;
+  const std::uint32_t slot = FindSlot(id);
+  if (slot != kNoSlot) {
+    FreeSlot(slot);
+    return;
+  }
   TimerEntry* entry = wheel_.FindById(id);
   if (entry != nullptr) wheel_.Cancel(*entry);
 }
 
 bool Simulator::RunOne(TimePoint until) {
   // Discard stale heap entries so the top (if any) is a live event.
-  while (!queue_.empty() &&
-         pending_.find(queue_.top().id) == pending_.end()) {
+  while (!queue_.empty() && slots_[queue_.top().slot].id != queue_.top().id) {
     queue_.pop();
   }
   TimerEntry* timer = wheel_.PeekEarliest();
@@ -138,22 +215,9 @@ bool Simulator::RunOne(TimePoint until) {
 
   const HeapEntry top = queue_.top();
   if (top.when > until) return false;
-  auto it = pending_.find(top.id);
   queue_.pop();
-  // Move the callback out before erasing so the callback may freely
-  // schedule/cancel (including rescheduling its own id, which is gone).
-  Callback fn = std::move(it->second.fn);
   now_ = top.when;
-  pending_.erase(it);
-  ++events_executed_;
-  {
-    // Root span of the engine: every protocol callback (and therefore
-    // every nested dispatch/assembly/crypto/recovery span) runs inside
-    // one simulated event, so "sim;event" inclusive time ≈ engine wall
-    // time and its self time is the uninstrumented remainder.
-    MPQ_PROF_SCOPE("sim/event");
-    fn();
-  }
+  FireSlot(top.slot);
   return true;
 }
 

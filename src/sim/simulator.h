@@ -13,16 +13,22 @@
 // Run/RunOne keep the strict (timestamp, id) order — but the mpq_model
 // explorer uses them to branch over every delivery/timer interleaving a
 // bounded amount of jitter could produce.
+//
+// Storage: pending events live in a slab of slots that is reused as
+// events fire, and a datagram in flight rides in its event's slot, so
+// once the slab is warm an event whose callback fits std::function's
+// inline buffer is scheduled and fired without allocating. The simulator
+// also keeps the world's free list of datagram payload buffers
+// (TakeBuffer / ReturnBuffer; docs/INTERNALS.md).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
+#include "sim/datagram.h"
 #include "sim/timer_wheel.h"
 
 namespace mpq::sim {
@@ -36,6 +42,8 @@ class Simulator {
  public:
   using EventId = std::uint64_t;
   using Callback = std::function<void()>;
+  /// Callback of an event that carries a datagram (ScheduleDatagramAt).
+  using DatagramCallback = std::function<void(Datagram&&)>;
 
   /// One pending event as the explorer sees it. `scope` is an
   /// independence class assigned at schedule time (deliveries use
@@ -67,13 +75,23 @@ class Simulator {
                      EventKind kind = EventKind::kGeneric,
                      std::uint32_t scope = 0);
 
+  /// Schedule `fn(datagram)` at `when` (clamped to now). The datagram is
+  /// kept in the event's own slot rather than in a callback capture, so
+  /// a link hands a packet from event to event without allocating, and
+  /// DuplicateEvent copies the bytes along with the event.
+  EventId ScheduleDatagramAt(TimePoint when, Datagram datagram,
+                             DatagramCallback fn,
+                             EventKind kind = EventKind::kGeneric,
+                             std::uint32_t scope = 0);
+
   /// Cancel a pending event. Cancelling an already-fired or unknown id is
   /// a harmless no-op (protocol timers race with the events that clear
   /// them; this mirrors how timer APIs behave in real stacks).
   void Cancel(EventId id);
 
   /// Arm `entry` to fire at `when` (clamped to now) on the shared timer
-  /// wheel — the zero-allocation path sim::Timer uses. Exactly one event
+  /// wheel — the path sim::Timer uses: the callback is stored once by its
+  /// owner and never copied per arm. Exactly one event
   /// id is consumed per arm (the same budget a ScheduleAt-based timer
   /// would use), so the merged (when, id) firing order is identical to
   /// scheduling the timer as a heap event. Returns the assigned id.
@@ -94,7 +112,8 @@ class Simulator {
 
   /// Snapshot of every pending event, sorted by (when, id) — the same
   /// canonical order Run() would fire them in. O(n log n); the explorer
-  /// calls it once per exploration step on tiny queues.
+  /// calls it once per exploration step on tiny queues. Lookups by id
+  /// (here, Cancel, FireEvent, DuplicateEvent) scan the event slab.
   std::vector<PendingEventInfo> PendingEvents() const;
 
   /// Execute the pending event `id` now, even if it is not the earliest:
@@ -108,20 +127,48 @@ class Simulator {
   /// wire duplication. Returns 0 for unknown ids.
   EventId DuplicateEvent(EventId id, Duration extra_delay = 0);
 
-  bool empty() const { return pending_.empty() && wheel_.empty(); }
+  bool empty() const { return live_events_ == 0 && wheel_.empty(); }
   std::uint64_t events_executed() const { return events_executed_; }
 
+  // -- datagram payload buffers ------------------------------------------
+  // Writers take a buffer to encode a packet into; the network returns it
+  // once the datagram is delivered or dropped. The list holds at most as
+  // many buffers as were ever in flight at once, and dies with the
+  // simulator.
+
+  /// An empty buffer, with the capacity of a returned one if any.
+  std::vector<std::uint8_t> TakeBuffer() {
+    if (spare_buffers_.empty()) return {};
+    std::vector<std::uint8_t> buffer = std::move(spare_buffers_.back());
+    spare_buffers_.pop_back();
+    return buffer;
+  }
+  /// Give a payload buffer back for reuse (buffers without storage are
+  /// not kept).
+  void ReturnBuffer(std::vector<std::uint8_t>&& buffer) {
+    if (buffer.capacity() == 0) return;
+    buffer.clear();
+    spare_buffers_.push_back(std::move(buffer));
+  }
+
  private:
+  /// One slot of the event slab. `id` 0 marks a free slot; an event sets
+  /// either `fn` or, with its `datagram`, `on_datagram`.
   struct Event {
     TimePoint when = 0;
     EventId id = 0;  // monotonic; provides FIFO tie-breaking at equal times
     EventKind kind = EventKind::kGeneric;
     std::uint32_t scope = 0;
     Callback fn;
+    DatagramCallback on_datagram;
+    Datagram datagram;
   };
+  /// A heap entry is stale once its slot's id no longer matches (the
+  /// event fired or was cancelled, and the slot may have been reused).
   struct HeapEntry {
     TimePoint when;
     EventId id;
+    std::uint32_t slot;
   };
   struct HeapCompare {
     // std::priority_queue is a max-heap; invert for earliest-first and
@@ -132,17 +179,32 @@ class Simulator {
     }
   };
 
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
   /// Fire one wheel timer: disarm first (so the callback may re-arm),
   /// advance time, invoke.
   void FireWheelEntry(TimerEntry& entry, bool pop_earliest);
+
+  /// Claim a slot for a new event and push its heap entry.
+  Event& NewEvent(TimePoint when, EventKind kind, std::uint32_t scope);
+  /// Release a slot: its callbacks are destroyed and its datagram's
+  /// buffer is returned.
+  void FreeSlot(std::uint32_t slot);
+  /// The slot of pending heap event `id`, or kNoSlot.
+  std::uint32_t FindSlot(EventId id) const;
+  /// Free the slot and invoke its event (time already advanced).
+  void FireSlot(std::uint32_t slot);
 
   TimePoint now_ = 0;
   EventId next_id_ = 1;
   std::uint64_t events_executed_ = 0;
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapCompare> queue_;
-  // Cancellation removes from this map; stale heap entries are skipped on
-  // pop. The heap never holds more stale entries than were cancelled.
-  std::unordered_map<EventId, Event> pending_;
+  // Firing or cancelling frees the slot; stale heap entries are skipped
+  // on pop. The heap never holds more stale entries than were cancelled.
+  std::vector<Event> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  std::size_t live_events_ = 0;
+  std::vector<std::vector<std::uint8_t>> spare_buffers_;
   // Protocol timers (EventKind::kTimer via sim::Timer) live here, not in
   // the heap; RunOne merges the two sources by exact (when, id).
   TimerWheel wheel_;

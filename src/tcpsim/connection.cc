@@ -314,7 +314,9 @@ void TcpConnection::OnSubflowTimeout(Subflow& subflow,
 
 void TcpConnection::EmitSegment(Subflow& subflow, TcpSegment&& segment) {
   ++stats_.segments_sent;
-  BufWriter writer(SegmentWireSize(segment));
+  // Encoded into a buffer from the simulator's free list; the network
+  // returns it there once the datagram is delivered or dropped.
+  BufWriter writer(sim_.TakeBuffer(), SegmentWireSize(segment));
   EncodeSegment(segment, writer);
   send_(subflow.local_address(), subflow.remote_address(), writer.Take());
 }

@@ -3,12 +3,24 @@
 // transfer must complete, deliver exactly the requested bytes, and pass
 // the payload-pattern integrity check. These are the repository's
 // "nothing is silently corrupted anywhere in the design space" net.
+//
+// The packet-number containers (the receive-side ACK range tracker and
+// the sent-packet ring) are also checked here against std::map reference
+// models under random operation sequences.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <memory>
 #include <tuple>
+#include <vector>
 
+#include "cc/newreno.h"
+#include "common/rng.h"
 #include "harness/runner.h"
+#include "quic/ack_tracker.h"
 #include "quic/endpoint.h"
+#include "quic/path.h"
 
 namespace mpq::harness {
 namespace {
@@ -283,6 +295,257 @@ TEST(Robustness, GarbageDatagramFloodDuringQuicTransfer) {
   EXPECT_EQ(errors, 0u);
   // The junk with a valid-looking header reached the AEAD and died there.
   EXPECT_GT(client.connection().stats().packets_decrypt_failed, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Packet-number containers against std::map reference models.
+
+/// The coalesced [first, last] range map ReceivedPacketTracker used to
+/// keep, as the reference.
+class MapTracker {
+ public:
+  bool OnPacketReceived(PacketNumber pn) {
+    if (pn == 0 || AlreadyReceived(pn)) return false;
+    auto it = ranges_.upper_bound(pn);
+    PacketNumber start = pn;
+    PacketNumber end = pn;
+    if (it != ranges_.begin()) {
+      auto prev = std::prev(it);
+      if (prev->second + 1 == pn) {
+        start = prev->first;
+        ranges_.erase(prev);
+      }
+    }
+    if (it != ranges_.end() && it->first == pn + 1) {
+      end = it->second;
+      ranges_.erase(it);
+    }
+    ranges_.emplace(start, end);
+    largest_ = std::max(largest_, pn);
+    return true;
+  }
+  bool AlreadyReceived(PacketNumber pn) const {
+    auto it = ranges_.upper_bound(pn);
+    if (it == ranges_.begin()) return false;
+    --it;
+    return pn >= it->first && pn <= it->second;
+  }
+  std::vector<std::pair<PacketNumber, PacketNumber>> AckRanges() const {
+    std::vector<std::pair<PacketNumber, PacketNumber>> out;
+    for (auto it = ranges_.rbegin();
+         it != ranges_.rend() && out.size() < quic::AckFrame::kMaxAckRanges;
+         ++it) {
+      out.emplace_back(it->first, it->second);
+    }
+    return out;
+  }
+  std::size_t size() const { return ranges_.size(); }
+  PacketNumber largest() const { return largest_; }
+
+ private:
+  std::map<PacketNumber, PacketNumber> ranges_;
+  PacketNumber largest_{};
+};
+
+std::vector<std::pair<PacketNumber, PacketNumber>> Pairs(
+    const std::vector<quic::AckFrame::Range>& ranges) {
+  std::vector<std::pair<PacketNumber, PacketNumber>> out;
+  for (const auto& range : ranges) out.emplace_back(range.smallest, range.largest);
+  return out;
+}
+
+TEST(PacketNumberContainers, AckTrackerMatchesMapModel) {
+  // Random arrival orders: local reordering, losses (gaps), duplicates,
+  // the invalid packet number 0, and loss patterns dense enough to push
+  // past the 256-range ACK truncation.
+  Rng rng(20261018);
+  std::size_t max_ranges = 0;
+  for (int round = 0; round < 40; ++round) {
+    quic::ReceivedPacketTracker tracker;
+    MapTracker reference;
+    const std::uint64_t n = 200 + rng.NextBounded(2000);
+    const double drop = (round % 4 == 0) ? 0.5 : 0.02 * double(round % 7);
+    const std::uint64_t window = 1 + rng.NextBounded(40);
+    std::vector<PacketNumber> arrivals;
+    for (std::uint64_t pn = 1; pn <= n; ++pn) {
+      if (!rng.NextBool(drop)) arrivals.push_back(PacketNumber{pn});
+    }
+    for (std::size_t i = 0; i + 1 < arrivals.size(); ++i) {
+      const std::size_t j = i + rng.NextBounded(
+          std::min<std::uint64_t>(window, arrivals.size() - i));
+      std::swap(arrivals[i], arrivals[j]);
+    }
+    std::vector<quic::AckFrame::Range> reused;  // out-param storage
+    for (std::size_t i = 0; i < arrivals.size(); ++i) {
+      PacketNumber pn = arrivals[i];
+      if (rng.NextBool(0.05)) pn = arrivals[rng.NextBounded(i + 1)];
+      if (rng.NextBool(0.01)) pn = PacketNumber{0};
+      ASSERT_EQ(tracker.OnPacketReceived(pn, static_cast<TimePoint>(i)),
+                reference.OnPacketReceived(pn))
+          << "round " << round << " pn " << pn.value();
+      ASSERT_EQ(tracker.largest_received(), reference.largest());
+      const PacketNumber probe{rng.NextBounded(n + 2)};
+      ASSERT_EQ(tracker.AlreadyReceived(probe),
+                reference.AlreadyReceived(probe));
+      if (i % 97 == 0 || i + 1 == arrivals.size()) {
+        tracker.BuildAckRanges(reused);
+        ASSERT_EQ(Pairs(reused), reference.AckRanges()) << "round " << round;
+        ASSERT_EQ(Pairs(tracker.BuildAckRanges()), reference.AckRanges());
+        max_ranges = std::max(max_ranges, reference.size());
+      }
+    }
+  }
+  EXPECT_GT(max_ranges, quic::AckFrame::kMaxAckRanges);  // truncation ran
+}
+
+/// The ordered map Path used to track sent packets in, with the loss
+/// detection it ran over it, as the reference.
+struct MapSentModel {
+  struct Record {
+    TimePoint sent_time = 0;
+    bool ping = false;
+  };
+  std::map<PacketNumber, Record> sent;
+  PacketNumber largest_acked{};
+  TimePoint loss_time = kTimeInfinite;
+
+  /// Loss pass below largest_acked (the packet threshold only on ACKs).
+  void DetectLosses(TimePoint now, Duration threshold, bool packet_threshold,
+                    std::vector<PacketNumber>& lost) {
+    loss_time = kTimeInfinite;
+    for (auto it = sent.begin();
+         it != sent.end() && it->first < largest_acked;) {
+      if ((packet_threshold && largest_acked - it->first >= 3) ||
+          it->second.sent_time + threshold <= now) {
+        lost.push_back(it->first);
+        it = sent.erase(it);
+        continue;
+      }
+      loss_time = std::min(loss_time, it->second.sent_time + threshold);
+      ++it;
+    }
+  }
+};
+
+/// Path's time threshold, from its RTT estimator.
+Duration TimeThreshold(const quic::Path& path) {
+  const Duration base = std::max(path.rtt().smoothed(), path.rtt().latest());
+  return std::max<Duration>(base * 9 / 8, 1 * kMillisecond);
+}
+
+/// The STREAM offset that identifies packet `pn`'s first frame.
+ByteCount OffsetOf(PacketNumber pn) { return ByteCount{pn.value() * 1000}; }
+
+std::vector<PacketNumber> Pns(const std::vector<quic::SentPacket>& packets) {
+  std::vector<PacketNumber> out;
+  for (const auto& packet : packets) out.push_back(packet.pn);
+  return out;
+}
+
+TEST(PacketNumberContainers, SentPacketRingMatchesMapModel) {
+  // Random sends (with ack-only packet numbers leaving holes), bursts that
+  // grow the ring, ACKs with random descending ranges that acknowledge
+  // newer packets before older ones, time-threshold loss timers, RTOs and
+  // migrations, over enough packets for the ring to wrap many times.
+  Rng rng(7771);
+  for (int round = 0; round < 12; ++round) {
+    quic::Path path(PathId{1}, sim::Address{1, 0}, sim::Address{2, 0},
+                    std::make_unique<cc::NewReno>());
+    MapSentModel reference;
+    TimePoint now = 1000;
+    for (int op = 0; op < 4000; ++op) {
+      now += static_cast<Duration>(rng.NextBounded(3 * kMillisecond));
+      const std::uint64_t dice = rng.NextBounded(100);
+      if (dice < 55) {
+        const int burst = rng.NextBool(0.02) ? 300 : 1;
+        for (int i = 0; i < burst; ++i) {
+          const PacketNumber pn = path.AllocatePacketNumber();
+          if (rng.NextBool(0.3)) continue;  // ack-only: never tracked
+          const bool ping = rng.NextBool(0.1);
+          std::vector<quic::Frame>& frames =
+              path.OnPacketSent(pn, now, ByteCount{1200});
+          ASSERT_TRUE(frames.empty());
+          frames.push_back(
+              quic::StreamFrame{StreamId{3}, OffsetOf(pn), ByteCount{100},
+                                false});
+          if (ping) frames.push_back(quic::PingFrame{});
+          reference.sent[pn] = {now, ping};
+        }
+      } else if (dice < 92 && path.largest_sent() >= 1) {
+        // Descending, non-adjacent ranges over a random subset of the
+        // last few hundred packet numbers (sometimes everything).
+        quic::AckFrame ack;
+        const std::uint64_t top = path.largest_sent().value();
+        const std::uint64_t low =
+            rng.NextBool(0.05) ? 1 : top - std::min<std::uint64_t>(top - 1, 300);
+        const double density = 0.2 + 0.7 * double(rng.NextBounded(100)) / 100;
+        for (std::uint64_t pn = top; pn >= low; --pn) {
+          if (!rng.NextBool(density)) continue;
+          if (!ack.ranges.empty() &&
+              ack.ranges.back().smallest == PacketNumber{pn + 1}) {
+            ack.ranges.back().smallest = PacketNumber{pn};
+          } else if (ack.ranges.size() < quic::AckFrame::kMaxAckRanges) {
+            ack.ranges.push_back({PacketNumber{pn}, PacketNumber{pn}});
+          } else {
+            break;
+          }
+        }
+        if (ack.ranges.empty()) continue;
+        const quic::Path::AckResult& result = path.OnAckReceived(ack, now);
+
+        std::vector<PacketNumber> acked;
+        bool acked_ping = false;
+        for (const auto& range : ack.ranges) {
+          for (auto it = reference.sent.lower_bound(range.smallest);
+               it != reference.sent.end() && it->first <= range.largest;) {
+            acked.push_back(it->first);
+            acked_ping = acked_ping || it->second.ping;
+            it = reference.sent.erase(it);
+          }
+        }
+        reference.largest_acked =
+            std::max(reference.largest_acked, ack.LargestAcked());
+        std::vector<PacketNumber> lost;
+        reference.DetectLosses(now, TimeThreshold(path), true, lost);
+
+        std::vector<PacketNumber> got_acked;
+        for (const auto& packet : result.newly_acked) {
+          got_acked.push_back(packet.pn);
+        }
+        ASSERT_EQ(got_acked, acked) << "round " << round << " op " << op;
+        ASSERT_EQ(result.acked_ping, acked_ping);
+        ASSERT_EQ(Pns(result.lost), lost);
+        for (const auto& packet : result.lost) {
+          ASSERT_FALSE(packet.frames.empty());
+          const auto* stream = std::get_if<quic::StreamFrame>(&packet.frames[0]);
+          ASSERT_NE(stream, nullptr);
+          ASSERT_EQ(stream->offset, OffsetOf(packet.pn));
+        }
+      } else if (dice < 96) {
+        std::vector<PacketNumber> lost;
+        reference.DetectLosses(now, TimeThreshold(path), false, lost);
+        ASSERT_EQ(Pns(path.DetectTimeThresholdLosses(now)), lost);
+      } else {
+        std::vector<PacketNumber> all;
+        for (const auto& [pn, record] : reference.sent) all.push_back(pn);
+        reference.sent.clear();
+        reference.loss_time = kTimeInfinite;
+        const std::vector<quic::SentPacket>& lost =
+            dice < 99 ? path.OnRetransmissionTimeout(now)
+                      : path.Migrate(sim::Address{1, 1}, sim::Address{2, 1},
+                                     std::make_unique<cc::NewReno>(), now);
+        ASSERT_EQ(Pns(lost), all);
+      }
+      ASSERT_EQ(path.NextLossTime(), reference.loss_time) << "op " << op;
+      ASSERT_EQ(path.HasInFlight(), !reference.sent.empty());
+      ASSERT_EQ(path.OldestInFlightSentTime(),
+                reference.sent.empty()
+                    ? kTimeInfinite
+                    : reference.sent.begin()->second.sent_time);
+      ASSERT_EQ(path.congestion().bytes_in_flight(),
+                ByteCount{1200 * reference.sent.size()});
+    }
+  }
 }
 
 }  // namespace

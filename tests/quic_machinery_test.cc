@@ -353,15 +353,11 @@ std::unique_ptr<Path> MakePath(PathId id = PathId{0}) {
                                 std::make_unique<cc::NewReno>());
 }
 
-SentPacket MakeSent(PacketNumber pn, TimePoint t) {
-  SentPacket p;
-  p.pn = pn;
-  p.sent_time = t;
-  p.bytes = ByteCount{1000};
-  p.frames.push_back(StreamFrame{StreamId{3},
-                                 ByteCount{(pn.value() - 1) * 1000},
-                                 ByteCount{100}, false});
-  return p;
+/// Track packet `pn` as sent at `t`: 1000 bytes carrying one STREAM frame.
+void TrackSent(Path& path, PacketNumber pn, TimePoint t) {
+  path.OnPacketSent(pn, t, ByteCount{1000})
+      .push_back(StreamFrame{StreamId{3}, ByteCount{(pn.value() - 1) * 1000},
+                             ByteCount{100}, false});
 }
 
 AckFrame AckUpTo(PacketNumber largest, PathId path = PathId{0}) {
@@ -375,7 +371,7 @@ TEST(PathLoss, AckRemovesPacketsAndSamplesRtt) {
   auto path = MakePath();
   for (PacketNumber pn = PacketNumber{1}; pn <= 3; ++pn) {
     path->AllocatePacketNumber();
-    path->OnPacketSent(MakeSent(pn, 1000 * static_cast<TimePoint>(pn)));
+    TrackSent(*path, pn, 1000 * static_cast<TimePoint>(pn));
   }
   auto result = path->OnAckReceived(AckUpTo(PacketNumber{3}), /*now=*/50000);
   EXPECT_EQ(result.newly_acked.size(), 3u);
@@ -390,7 +386,7 @@ TEST(PathLoss, ReorderingThresholdDeclaresLoss) {
   auto path = MakePath();
   for (PacketNumber pn = PacketNumber{1}; pn <= 5; ++pn) {
     path->AllocatePacketNumber();
-    path->OnPacketSent(MakeSent(pn, 100));
+    TrackSent(*path, pn, 100);
   }
   // Ack only packet 5: packets 1 and 2 are >= 3 below the largest.
   AckFrame ack;
@@ -407,7 +403,7 @@ TEST(PathLoss, TimeThresholdFiresViaDetect) {
   auto path = MakePath();
   for (PacketNumber pn = PacketNumber{1}; pn <= 2; ++pn) {
     path->AllocatePacketNumber();
-    path->OnPacketSent(MakeSent(pn, 0));
+    TrackSent(*path, pn, 0);
   }
   AckFrame ack;
   ack.ranges = {{PacketNumber{2}, PacketNumber{2}}};
@@ -424,7 +420,7 @@ TEST(PathLoss, RtoReturnsAllInFlightAndMarksPotentiallyFailed) {
   auto path = MakePath();
   for (PacketNumber pn = PacketNumber{1}; pn <= 4; ++pn) {
     path->AllocatePacketNumber();
-    path->OnPacketSent(MakeSent(pn, 1000));
+    TrackSent(*path, pn, 1000);
   }
   EXPECT_FALSE(path->potentially_failed());
   auto lost = path->OnRetransmissionTimeout(500 * kMillisecond);
@@ -438,11 +434,11 @@ TEST(PathLoss, RtoReturnsAllInFlightAndMarksPotentiallyFailed) {
 TEST(PathLoss, AckOnPathClearsPotentiallyFailed) {
   auto path = MakePath();
   path->AllocatePacketNumber();
-  path->OnPacketSent(MakeSent(PacketNumber{1}, 1000));
+  TrackSent(*path, PacketNumber{1}, 1000);
   path->OnRetransmissionTimeout(500 * kMillisecond);
   EXPECT_TRUE(path->potentially_failed());
   path->AllocatePacketNumber();
-  path->OnPacketSent(MakeSent(PacketNumber{2}, 600 * kMillisecond));
+  TrackSent(*path, PacketNumber{2}, 600 * kMillisecond);
   AckFrame ack;
   ack.ranges = {{PacketNumber{2}, PacketNumber{2}}};
   path->OnAckReceived(ack, 700 * kMillisecond);
@@ -455,11 +451,11 @@ TEST(PathLoss, RtoBackoffDoubles) {
   path->rtt().AddSample(100 * kMillisecond, 0);
   const Duration base = path->CurrentRto();
   path->AllocatePacketNumber();
-  path->OnPacketSent(MakeSent(PacketNumber{1}, 0));
+  TrackSent(*path, PacketNumber{1}, 0);
   path->OnRetransmissionTimeout(base);
   EXPECT_EQ(path->CurrentRto(), 2 * base);
   path->AllocatePacketNumber();
-  path->OnPacketSent(MakeSent(PacketNumber{2}, base + 1));
+  TrackSent(*path, PacketNumber{2}, base + 1);
   path->OnRetransmissionTimeout(3 * base);
   EXPECT_EQ(path->CurrentRto(), 4 * base);
 }

@@ -95,9 +95,8 @@ class RecoveryTest : public ::testing::Test {
 
   /// Put one retransmittable packet in flight and let recovery track it.
   void SendTracked(std::vector<Frame> frames) {
-    SentPacket packet = MakeSent(path_.AllocatePacketNumber(),
-                                 std::move(frames));
-    path_.OnPacketSent(std::move(packet));
+    path_.OnPacketSent(path_.AllocatePacketNumber(), sim_.now(), kMss) =
+        std::move(frames);
     recovery_.OnPacketTracked(path_);
   }
 

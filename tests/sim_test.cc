@@ -53,6 +53,36 @@ TEST(Simulator, CancelUnknownIdIsNoop) {
   EXPECT_TRUE(sim.empty());
 }
 
+TEST(Simulator, CancelledSlotReuseNeverFiresStaleEntry) {
+  // A cancelled event leaves its heap entry behind, and the next event
+  // reuses its storage slot. The stale entry (due at 100) must be
+  // skipped, not fire the new event (due at 200) early or twice.
+  Simulator sim;
+  std::vector<TimePoint> fired_at;
+  const Simulator::EventId cancelled =
+      sim.ScheduleAt(100, [&] { fired_at.push_back(-1); });
+  sim.Cancel(cancelled);
+  const Simulator::EventId live =
+      sim.ScheduleAt(200, [&] { fired_at.push_back(sim.now()); });
+  EXPECT_NE(live, cancelled);
+
+  // The explorer's lookups by id see only the live event.
+  EXPECT_FALSE(sim.FireEvent(cancelled));
+  EXPECT_EQ(sim.DuplicateEvent(cancelled), 0u);
+  const auto pending = sim.PendingEvents();
+  ASSERT_EQ(pending.size(), 1u);
+  EXPECT_EQ(pending[0].id, live);
+  EXPECT_EQ(pending[0].when, 200);
+
+  EXPECT_FALSE(sim.RunOne(150));  // the stale entry at 100 fires nothing
+  EXPECT_EQ(sim.now(), 0);
+  const Simulator::EventId copy = sim.DuplicateEvent(live, 10);
+  ASSERT_NE(copy, 0u);
+  EXPECT_EQ(sim.Run(), 2u);
+  EXPECT_EQ(fired_at, (std::vector<TimePoint>{200, 210}));
+  EXPECT_TRUE(sim.empty());
+}
+
 TEST(Simulator, EventsCanScheduleEvents) {
   Simulator sim;
   int depth = 0;
@@ -286,6 +316,50 @@ TEST(Network, RebindAfterCloseWorks) {
   net.CreateSocket({1, 0});
   net.CloseSocket({1, 0});
   EXPECT_NO_THROW(net.CreateSocket({1, 0}));
+}
+
+TEST(SimNet, DuplicatedDeliveryCarriesItsOwnBytes) {
+  // The model checker's wire faults: kDup duplicates a pending delivery
+  // and fires the original, kDrop cancels one. The datagram rides in the
+  // event, so the copy must deliver the same bytes, not an emptied
+  // buffer the original already handed on.
+  Simulator sim;
+  Network net(sim, Rng(3));
+  const Address a{1, 0}, b{2, 0};
+  net.AddDuplexLink(a, b, MakeLink(10, kMillisecond),
+                    MakeLink(10, kMillisecond));
+  auto* sa = net.CreateSocket(a);
+  auto* sb = net.CreateSocket(b);
+  std::vector<std::vector<std::uint8_t>> got;
+  sb->SetReceiveHandler([&](const Datagram& d) { got.push_back(d.payload); });
+  const auto next_delivery = [&sim] {
+    while (true) {
+      for (const auto& event : sim.PendingEvents()) {
+        if (event.kind == EventKind::kDelivery) return event.id;
+      }
+      if (!sim.RunOne()) return Simulator::EventId{0};
+    }
+  };
+
+  const std::vector<std::uint8_t> bytes = {1, 2, 3, 4, 5};
+  sa->Send(b, bytes);
+  sa->Send(b, std::vector<std::uint8_t>{9, 9});
+  const Simulator::EventId original = next_delivery();
+  ASSERT_NE(original, 0u);
+  const Simulator::EventId copy = sim.DuplicateEvent(original, 0);
+  ASSERT_NE(copy, 0u);
+  ASSERT_TRUE(sim.FireEvent(original));
+  ASSERT_TRUE(sim.FireEvent(copy));
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0], bytes);
+  EXPECT_EQ(got[1], bytes);
+
+  // The second datagram's delivery is cancelled: nothing arrives.
+  const Simulator::EventId dropped = next_delivery();
+  ASSERT_NE(dropped, 0u);
+  sim.Cancel(dropped);
+  sim.Run();
+  EXPECT_EQ(got.size(), 2u);
 }
 
 // ---------------------------------------------------------------------------
