@@ -7,7 +7,6 @@
 
 #include "cc/newreno.h"
 #include "expdesign/wsp.h"
-#include "obs/prof.h"
 #include "quic/ack_tracker.h"
 #include "quic/scheduler.h"
 #include "quic/streams.h"
@@ -121,31 +120,6 @@ void BM_WspDesign253(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WspDesign253);
-
-void BM_ProfScopeDisabled(benchmark::State& state) {
-  // Cost every instrumented call pays in a default build: MPQ_PROF is
-  // compiled in but recording is off — one relaxed load and a branch.
-  // Everything else in this binary runs under exactly this regime.
-  obs::prof::SetEnabled(false);
-  for (auto _ : state) {
-    MPQ_PROF_SCOPE("bench/disabled");
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ProfScopeDisabled);
-
-void BM_ProfScopeEnabled(benchmark::State& state) {
-  // Cost while actively profiling: enter (TLS + child lookup), two
-  // timestamp reads, histogram record on exit.
-  obs::prof::SetEnabled(true);
-  for (auto _ : state) {
-    MPQ_PROF_SCOPE("bench/enabled");
-  }
-  obs::prof::SetEnabled(false);
-  obs::prof::Reset();
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ProfScopeEnabled);
 
 }  // namespace
 

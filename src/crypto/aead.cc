@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "obs/prof.h"
-
 namespace mpq::crypto {
 
 namespace {
@@ -88,7 +86,6 @@ std::uint64_t PacketProtection::Tag(
 void PacketProtection::SealInPlace(PathId path, PacketNumber pn,
                                    std::span<const std::uint8_t> aad,
                                    std::span<std::uint8_t> buf) const {
-  MPQ_PROF_SCOPE("crypto/seal");
   const ChaChaNonce nonce = MakeNonce(path, pn);
   const std::span<std::uint8_t> text = buf.first(buf.size() - kAeadTagSize);
   // One vector cipher call for the whole packet, then the tag over the
@@ -101,7 +98,6 @@ bool PacketProtection::OpenInPlace(PathId path, PacketNumber pn,
                                    std::span<const std::uint8_t> aad,
                                    std::span<std::uint8_t> buf,
                                    std::size_t& plaintext_len) const {
-  MPQ_PROF_SCOPE("crypto/open");
   if (buf.size() < kAeadTagSize) return false;
   const std::span<std::uint8_t> ciphertext =
       buf.first(buf.size() - kAeadTagSize);

@@ -57,8 +57,8 @@ class Histogram {
   void Record(std::int64_t value);
 
   /// Fold `other` into this histogram (bucket-wise add; min/max/sum/count
-  /// combine). Used to aggregate per-thread profiler spans into registry
-  /// histograms.
+  /// combine). MetricsRegistry::MergeFrom uses it to fold per-shard
+  /// registries into one.
   void Merge(const Histogram& other);
 
   std::uint64_t count() const { return count_; }

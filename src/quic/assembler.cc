@@ -4,8 +4,6 @@
 #include <cassert>
 #include <utility>
 
-#include "obs/prof.h"
-
 namespace mpq::quic {
 
 namespace {
@@ -64,7 +62,6 @@ void PacketAssembler::OnConnectionClosed() {
 }
 
 AckFrame PacketAssembler::BuildAck(PathSendState& state) {
-  MPQ_PROF_SCOPE("assembly/build_ack");
   Path& path = *state.path;
   AckFrame ack;
   ack.path_id = path.id();
@@ -196,7 +193,6 @@ bool PacketAssembler::SendOnePacket(
     Path& path, bool include_stream_data,
     const std::vector<StreamFrame>* duplicate_of,
     std::vector<StreamFrame>* sent_stream_frames) {
-  MPQ_PROF_SCOPE("assembly/packet");
   const std::size_t header_size =
       1 + 8 + (config_.multipath ? 1 : 0) +
       PacketNumberLength(path.largest_sent() + 1, path.largest_acked());
@@ -287,7 +283,6 @@ bool PacketAssembler::SendOnePacket(
 void PacketAssembler::TransmitPacket(Path& path, std::vector<Frame>& frames,
                                      bool retransmittable,
                                      bool handshake_cleartext) {
-  MPQ_PROF_SCOPE("assembly/transmit");
   if (tracer_ != nullptr) {
     for (const Frame& frame : frames) {
       tracer_->OnFrameSent(sim_.now(), path.id(), frame);

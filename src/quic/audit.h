@@ -46,7 +46,7 @@ class Auditor {
   /// Canonical 64-bit digest of the connection's protocol state: packet
   /// numbers, in-flight tracking, ACK ranges, stream offsets, flow
   /// control, path status — everything behavior depends on, and nothing
-  /// observability-related (tracers, stats, profiler) or wall-clock
+  /// observability-related (tracers, stats) or wall-clock
   /// shaped. Two states with equal digests are treated as equivalent by
   /// the explorer's pruning; replaying a schedule must reproduce the
   /// identical digest sequence (the determinism check). Implemented in

@@ -8,7 +8,6 @@
 #include "cc/newreno.h"
 #include "common/clock.h"
 #include "common/log.h"
-#include "obs/prof.h"
 #include "quic/audit.h"
 
 namespace mpq::quic {
@@ -610,18 +609,16 @@ void Connection::TrySend() {
       // one of the hot-path numbers the metrics registry tracks. Only the
       // traced configuration pays for the clock reads. This feeds the
       // tracer API (OnSchedulerDecision carries elapsed_ns), so the raw
-      // clock reads stay; the profiler records the same span.
-      MPQ_PROF_SCOPE("scheduler/select");
-      const std::uint64_t before = MonotonicNanos();  // NOLINT(mpq-prof-clock)
+      // clock reads stay.
+      const std::uint64_t before = MonotonicNanos();  // NOLINT(mpq-host-clock)
       chosen = scheduler_->SelectPath(eligible, config_.max_packet_size);
       const std::uint64_t elapsed =
-          MonotonicNanos() - before;  // NOLINT(mpq-prof-clock)
+          MonotonicNanos() - before;  // NOLINT(mpq-host-clock)
       if (chosen != nullptr) {
         tracer_->OnSchedulerDecision(sim_.now(), chosen->id(),
                                      scheduler_->last_reason(), elapsed);
       }
     } else {
-      MPQ_PROF_SCOPE("scheduler/select");
       chosen = scheduler_->SelectPath(eligible, config_.max_packet_size);
     }
     if (chosen == nullptr) {

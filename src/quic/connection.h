@@ -124,7 +124,7 @@ class Connection : private RecoveryDelegate,
   /// Canonical digest of the protocol state (quic/digest.cc): equal
   /// digests ⇒ equivalent states for the mpq_model explorer; identical
   /// schedules must yield identical digest sequences. Excludes
-  /// observability state (tracers, stats, profiler) by construction —
+  /// observability state (tracers, stats) by construction —
   /// tests/digest_test.cc holds that line.
   std::uint64_t StateDigest() const;
   ConnectionId cid() const { return cid_; }

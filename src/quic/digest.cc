@@ -7,7 +7,7 @@
 // status flags, queued control frames, congestion windows.
 //
 // What stays out, deliberately:
-//   - observability state (tracers, ConnectionStats, profiler spans):
+//   - observability state (tracers, ConnectionStats):
 //     attaching a qlog tracer must not change the digest, or the
 //     determinism theorem would be vacuous (tests/digest_test.cc);
 //   - raw timestamps and RTT estimates: they differ across every

@@ -5,7 +5,6 @@
 #include <variant>
 
 #include "common/log.h"
-#include "obs/prof.h"
 
 namespace mpq::quic {
 
@@ -34,7 +33,6 @@ void FrameDispatcher::OnEncryptedPacket(
     const ParsedHeader& parsed, BufReader& reader,
     std::span<const std::uint8_t> datagram_bytes,
     const sim::Datagram& datagram) {
-  MPQ_PROF_SCOPE("dispatch/packet");
   if (!open_) return;  // keys not established yet
   const PathId pid =
       parsed.header.multipath ? parsed.header.path_id : PathId{0};
@@ -88,7 +86,6 @@ void FrameDispatcher::OnEncryptedPacket(
 
 void FrameDispatcher::ProcessFrames(Path& path,
                                     const std::vector<Frame>& frames) {
-  MPQ_PROF_SCOPE("dispatch/frames");
   if (tracer_ != nullptr) {
     for (const Frame& frame : frames) {
       tracer_->OnFrameReceived(sim_.now(), path.id(), frame);

@@ -5,7 +5,6 @@
 #include <variant>
 
 #include "common/log.h"
-#include "obs/prof.h"
 
 namespace mpq::quic {
 
@@ -64,7 +63,6 @@ void RecoveryManager::OnAckReceived(Path& path, const AckFrame& ack) {
              static_cast<unsigned long long>(path.largest_sent().value()));
     return;
   }
-  MPQ_PROF_SCOPE("recovery/ack");
   PathRecovery& rec = paths_.at(path.id());
   const bool was_failed = path.potentially_failed();
   const Path::AckResult& result = path.OnAckReceived(ack, sim_.now());
@@ -180,7 +178,6 @@ void RecoveryManager::RearmRetxTimer(PathRecovery& rec) {
 void RecoveryManager::OnRetxTimer(PathRecovery& rec) {
   Path& path = *rec.path;
   if (closed_) return;
-  MPQ_PROF_SCOPE("recovery/retx_timer");
   AuditOnExit audit(delegate_);
   if (sim_.now() >= path.NextLossTime()) {
     RequeueLostFrames(path.id(), path.DetectTimeThresholdLosses(sim_.now()));

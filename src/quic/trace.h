@@ -37,10 +37,9 @@ class ConnectionTracer {
                             PacketNumber /*pn*/) {}
   /// A sent packet reached a terminal state: `stage` is "acked" or
   /// "lost", `since_sent` the simulated time from transmission to the
-  /// terminal event. Together with the profiler's in-process span
-  /// histograms (assembly/seal wall-nanoseconds) this completes the
-  /// packet-lifecycle accounting: enqueue→assemble→seal→send come from
-  /// MPQ_PROF_SCOPE spans, send→acked/lost from this hook.
+  /// terminal event: the send→acked/lost leg of a packet's lifecycle, in
+  /// simulated time. Host time spent assembling and sealing it is
+  /// measured from outside the library (perfbench --trace 1).
   virtual void OnPacketLifecycle(TimePoint /*now*/, PathId /*path*/,
                                  PacketNumber /*pn*/, const char* /*stage*/,
                                  Duration /*since_sent*/) {}

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "obs/prof.h"
-
 namespace mpq::sim {
 
 Simulator::Event& Simulator::NewEvent(TimePoint when, EventKind kind,
@@ -107,10 +105,7 @@ void Simulator::FireWheelEntry(TimerEntry& entry, bool pop_earliest) {
     if (when > now_) now_ = when;
   }
   ++events_executed_;
-  {
-    MPQ_PROF_SCOPE("sim/event");
-    (*fn)();
-  }
+  (*fn)();
 }
 
 void Simulator::FireSlot(std::uint32_t slot) {
@@ -122,17 +117,10 @@ void Simulator::FireSlot(std::uint32_t slot) {
   Datagram datagram = std::move(event.datagram);
   FreeSlot(slot);
   ++events_executed_;
-  {
-    // Root span of the engine: every protocol callback (and therefore
-    // every nested dispatch/assembly/crypto/recovery span) runs inside
-    // one simulated event, so "sim;event" inclusive time ≈ engine wall
-    // time and its self time is the uninstrumented remainder.
-    MPQ_PROF_SCOPE("sim/event");
-    if (on_datagram) {
-      on_datagram(std::move(datagram));
-    } else {
-      fn();
-    }
+  if (on_datagram) {
+    on_datagram(std::move(datagram));
+  } else {
+    fn();
   }
 }
 

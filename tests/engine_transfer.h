@@ -1,6 +1,8 @@
-// The 8 MB two-path engine transfer (the historical engine leg and
-// perfbench's bulk_mp reference, seeds 12345/7/8), shared by the behaviour
-// gate (golden_test.cc) and the allocation gate (alloc_budget_test.cc).
+// The runs pinned by both the behaviour gate (golden_test.cc) and the
+// allocation gate (alloc_budget_test.cc): the 8 MB two-path engine
+// transfer (the historical engine leg and perfbench's bulk_mp reference,
+// seeds 12345/7/8), the lossy transfer's paths and the 1000-connection
+// multipath fleet.
 #pragma once
 
 #include <array>
@@ -11,6 +13,7 @@
 #include <vector>
 
 #include "common/source.h"
+#include "harness/workload.h"
 #include "quic/endpoint.h"
 #include "sim/net.h"
 #include "sim/simulator.h"
@@ -101,6 +104,31 @@ inline EngineTransfer RunEngineTransfer(TimedRegion timed = {}) {
   const std::vector<quic::Connection*> accepted = server.Connections();
   if (accepted.size() == 1) out.server_digest = accepted[0]->StateDigest();
   return out;
+}
+
+/// Two lossy paths (10 Mbps / 30 ms / 2% and 5 Mbps / 60 ms / 3%), so loss
+/// detection, RTOs and retransmission run through the send loop.
+inline std::array<sim::PathParams, 2> LossyPaths() {
+  std::array<sim::PathParams, 2> paths;
+  paths[0].capacity_mbps = 10;
+  paths[0].rtt = 30 * kMillisecond;
+  paths[0].random_loss_rate = 0.02;
+  paths[1].capacity_mbps = 5;
+  paths[1].rtt = 60 * kMillisecond;
+  paths[1].random_loss_rate = 0.03;
+  return paths;
+}
+
+/// The 1000-connection multipath fleet (bench_many_conn --smoke 1000
+/// --multipath --seed 1): 8 shards, one job, so the shards run inline.
+inline harness::WorkloadOptions Fleet1000Options() {
+  harness::WorkloadOptions options;
+  options.connections = 1000;
+  options.multipath = true;
+  options.shards = 8;
+  options.jobs = 1;
+  options.seed = 1;
+  return options;
 }
 
 }  // namespace mpq::golden

@@ -2,7 +2,6 @@
 // layer. Wire encoding sits at the bottom of the quic include DAG and
 // may depend on common/ and sim/net only.
 #include "quic/connection.h"  // expect: layering
-#include "obs/prof.h"  // exempt: the profiler is a foundation-layer leaf
 
 namespace corpus {
 

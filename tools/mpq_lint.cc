@@ -21,10 +21,10 @@
 //   pragma-once      a header under src/ without #pragma once.
 //   include-hygiene  quoted includes using ".." parent paths (project
 //                    includes are rooted at src/).
-//   prof-clock       raw MonotonicNanos() timing in src/ outside
-//                    obs/prof and common/clock.h — datapath
-//                    self-measurement goes through MPQ_PROF_SCOPE so it
-//                    aggregates into profiles (docs/OBSERVABILITY.md).
+//   host-clock       raw MonotonicNanos() timing in src/ outside
+//                    common/clock.h — host time is measured from outside
+//                    the library (perfbench --trace 1); a reading the
+//                    tracer API carries is suppressed where it is taken.
 //   reinterpret-cast reinterpret_cast outside src/crypto and the wire
 //                    codec (src/quic/wire*) — type punning stays in the
 //                    two layers whose job is raw bytes.
@@ -184,13 +184,6 @@ struct LayerRule {
   const char* forbidden;
 };
 
-/// Include prefixes exempt from every layering rule: headers that are
-/// architecturally foundation leaves despite their directory. The
-/// profiler ("obs/prof") depends only on src/common and must be
-/// includable from every instrumented subsystem — crypto, sim, quic —
-/// that the obs/ prefix would otherwise wall off.
-const char* const kLayeringExempt[] = {"obs/prof"};
-
 const LayerRule kLayeringRules[] = {
     // Foundation: no upward includes at all.
     {"src/common/", "quic/,cc/,crypto/,sim/,obs/,harness/"},
@@ -266,7 +259,7 @@ void CheckFile(const std::string& rel, const std::vector<Line>& lines,
     }
   };
 
-  static const std::regex kProfClock(R"(\bMonotonicNanos\s*\()");
+  static const std::regex kHostClock(R"(\bMonotonicNanos\s*\()");
   static const std::regex kWallClock(
       R"(\b(?:system_clock|steady_clock|high_resolution_clock|gettimeofday|clock_gettime)\b|std::time\s*\()");
   static const std::regex kRawRng(
@@ -312,15 +305,14 @@ void CheckFile(const std::string& rel, const std::vector<Line>& lines,
       saw_pragma_once = true;
     }
 
-    // MonotonicNanos() is the sanctioned host-clock read, but calling it
-    // raw scatters ad-hoc timing that never reaches a profile dump; the
-    // profiler wraps it once (and clock.h defines it).
-    if (in_src && !StartsWith(rel, "src/obs/prof") &&
-        rel != "src/common/clock.h" &&
-        std::regex_search(code, kProfClock)) {
-      report(i, "prof-clock",
-             "raw MonotonicNanos() timing (use MPQ_PROF_SCOPE so the "
-             "measurement lands in profiles)");
+    // MonotonicNanos() is the sanctioned host-clock read (clock.h defines
+    // it), but library code that times itself scatters ad-hoc readings
+    // no tool collects; host time is measured from outside.
+    if (in_src && rel != "src/common/clock.h" &&
+        std::regex_search(code, kHostClock)) {
+      report(i, "host-clock",
+             "raw MonotonicNanos() timing in library code (measure host "
+             "time from outside, with perfbench --trace 1)");
     }
     if (in_src && !in_common && std::regex_search(code, kWallClock)) {
       report(i, "wall-clock",
@@ -392,12 +384,8 @@ void CheckFile(const std::string& rel, const std::vector<Line>& lines,
     std::smatch inc;
     if (std::regex_search(lines[i].raw, inc, kQuotedInclude)) {
       const std::string target = inc[1];
-      bool exempt = false;
-      for (const char* prefix : kLayeringExempt) {
-        if (StartsWith(target, prefix)) exempt = true;
-      }
       for (const auto& rule : kLayeringRules) {
-        if (exempt || !StartsWith(rel, rule.file_prefix)) continue;
+        if (!StartsWith(rel, rule.file_prefix)) continue;
         const std::string forbidden = rule.forbidden;
         std::size_t start = 0;
         while (start < forbidden.size()) {
@@ -470,7 +458,7 @@ std::string RelativeTo(const fs::path& root, const fs::path& file) {
 const std::vector<std::string> kAllRules = {
     "wall-clock", "raw-rng",     "unordered-iter",  "iostream-io",
     "naked-new",  "pragma-once", "include-hygiene", "layering",
-    "prof-clock", "reinterpret-cast", "shard-affinity", "simd-intrinsics"};
+    "host-clock", "reinterpret-cast", "shard-affinity", "simd-intrinsics"};
 
 int RunLint(const fs::path& root, const std::vector<std::string>& dirs) {
   std::vector<Finding> findings;

@@ -2,7 +2,7 @@
 //
 //   mpq_trace TRACE.qlog        per-path and per-event summary tables
 //   mpq_trace --json TRACE.qlog same summary as one JSON object (for CI
-//                               and mpq_prof — no screen-scraping)
+//                               and scripts — no screen-scraping)
 //   mpq_trace --aggregate METRICS.ndjson
 //                               summarize a many-connection workload
 //                               metrics file (harness/workload.h): one
