@@ -121,6 +121,15 @@ void BM_WspDesign253(benchmark::State& state) {
 }
 BENCHMARK(BM_WspDesign253);
 
+// The design perfbench's wsp_lossy builds: 4 scenarios of the 8-factor
+// lossy class.
+void BM_WspDesign4(benchmark::State& state) {
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(expdesign::WspDesign(8, 4, 42));
+  }
+}
+BENCHMARK(BM_WspDesign4);
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -1,6 +1,8 @@
 #include "crypto/aead.h"
 
+#include <algorithm>
 #include <cstring>
+#include <optional>
 
 namespace mpq::crypto {
 
@@ -18,33 +20,57 @@ void WriteTagLe(std::uint8_t* tag_out, std::uint64_t tag) {
   }
 }
 
+/// Kdf32's secret, taken in pieces: the first 16 bytes key SipHash, the
+/// rest start the message (`secret[16:] | label | block counter`). Each
+/// piece is absorbed as it arrives, so no contiguous copy of the secret
+/// or of the message is built.
+class Kdf32Input {
+ public:
+  void Absorb(std::span<const std::uint8_t> bytes) {
+    const std::size_t to_key = std::min(bytes.size(), key_.size() - key_len_);
+    // Guard the copy: memcpy from an empty span's data() (null) is UB even
+    // for zero bytes.
+    if (to_key > 0) {
+      std::memcpy(key_.data() + key_len_, bytes.data(), to_key);
+      key_len_ += to_key;
+      bytes = bytes.subspan(to_key);
+    }
+    if (bytes.empty()) return;
+    if (!message_) message_.emplace(key_);  // the key is complete
+    message_->Absorb(bytes);
+  }
+
+  /// The four 8-byte blocks, SipHash of the message with counter 0..3.
+  std::array<std::uint8_t, 32> Derive(std::string_view label) const {
+    // A secret of at most 16 bytes is the zero-padded key and no message.
+    SipHashState prefix = message_ ? *message_ : SipHashState(key_);
+    prefix.Absorb({reinterpret_cast<const std::uint8_t*>(label.data()),
+                   label.size()});
+    std::array<std::uint8_t, 32> out{};
+    for (std::uint8_t block = 0; block < 4; ++block) {
+      SipHashState state = prefix;
+      state.Absorb({&block, 1});
+      const std::uint64_t h = state.Finalize();
+      for (int i = 0; i < 8; ++i) {
+        out[8 * block + i] = static_cast<std::uint8_t>(h >> (8 * i));
+      }
+    }
+    return out;
+  }
+
+ private:
+  SipHashKey key_{};
+  std::size_t key_len_ = 0;
+  std::optional<SipHashState> message_;
+};
+
 }  // namespace
 
 std::array<std::uint8_t, 32> Kdf32(std::span<const std::uint8_t> secret,
                                    std::string_view label) {
-  SipHashKey key{};
-  const std::size_t key_bytes = secret.size() < 16 ? secret.size() : 16;
-  // Guard the copy: memcpy from an empty span's data() (null) is UB even
-  // for zero bytes.
-  if (key_bytes > 0) std::memcpy(key.data(), secret.data(), key_bytes);
-
-  std::vector<std::uint8_t> message;
-  message.reserve(secret.size() + label.size() + 1);
-  if (secret.size() > 16) {
-    message.insert(message.end(), secret.begin() + 16, secret.end());
-  }
-  message.insert(message.end(), label.begin(), label.end());
-  message.push_back(0);  // counter slot
-
-  std::array<std::uint8_t, 32> out{};
-  for (std::uint8_t block = 0; block < 4; ++block) {
-    message.back() = block;
-    const std::uint64_t h = SipHash24(key, message);
-    for (int i = 0; i < 8; ++i) {
-      out[8 * block + i] = static_cast<std::uint8_t>(h >> (8 * i));
-    }
-  }
-  return out;
+  Kdf32Input input;
+  input.Absorb(secret);
+  return input.Derive(label);
 }
 
 PacketProtection::PacketProtection(const ChaChaKey& key) : cipher_key_(key) {
@@ -147,21 +173,18 @@ SessionKeys DeriveSessionKeys(
   // Length-prefix each field (8 bytes little-endian, like Tag() frames
   // the AAD) so distinct (client_nonce, server_nonce, secret) splits of
   // the same concatenated bytes can never alias into one master secret.
-  std::vector<std::uint8_t> master;
-  master.reserve(client_nonce.size() + server_nonce.size() +
-                 server_config_secret.size() + 24);
-  const auto append_framed = [&master](std::span<const std::uint8_t> field) {
+  Kdf32Input master;
+  for (const auto field : {client_nonce, server_nonce, server_config_secret}) {
+    std::array<std::uint8_t, 8> length{};
     for (int i = 0; i < 8; ++i) {
-      master.push_back(static_cast<std::uint8_t>(field.size() >> (8 * i)));
+      length[i] = static_cast<std::uint8_t>(field.size() >> (8 * i));
     }
-    master.insert(master.end(), field.begin(), field.end());
-  };
-  append_framed(client_nonce);
-  append_framed(server_nonce);
-  append_framed(server_config_secret);
+    master.Absorb(length);
+    master.Absorb(field);
+  }
   SessionKeys keys;
-  keys.client_to_server = Kdf32(master, "client to server");
-  keys.server_to_client = Kdf32(master, "server to client");
+  keys.client_to_server = master.Derive("client to server");
+  keys.server_to_client = master.Derive("server to client");
   return keys;
 }
 

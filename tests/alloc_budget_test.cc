@@ -68,8 +68,8 @@ namespace mpq {
 namespace {
 
 /// Measured on each run; lower one when a change removes allocations.
-constexpr std::uint64_t kAllocBudget = 2071;
-constexpr std::uint64_t kFleetAllocBudget = 182940;
+constexpr std::uint64_t kAllocBudget = 2060;
+constexpr std::uint64_t kFleetAllocBudget = 171940;
 constexpr std::uint64_t kLossyMptcpAllocBudget = 9276;
 
 TEST(AllocBudget, EngineTransferTwoPath8MB) {

@@ -154,6 +154,49 @@ TEST(SessionKeys, DirectionsDifferAndDeriveDeterministically) {
   EXPECT_NE(a.client_to_server, a.server_to_client);
 }
 
+/// FNV-1a 64 of `bytes`, continuing from `hash`.
+std::uint64_t Fnv1a(std::span<const std::uint8_t> bytes,
+                    std::uint64_t hash = 0xCBF29CE484222325ULL) {
+  for (const std::uint8_t b : bytes) {
+    hash ^= b;
+    hash *= 0x100000001B3ULL;
+  }
+  return hash;
+}
+
+TEST(Kdf32, KeyScheduleBytesArePinned) {
+  // Every output byte of the key schedule, folded into one digest per
+  // function: secrets on both sides of the 16 bytes that key SipHash, and
+  // session-key field lengths that put that 16-byte boundary inside the
+  // client nonce, at its end, and inside or at the end of the server
+  // nonce's length prefix. A change in how the inputs are absorbed must
+  // keep these; a change here changes every connection's keys.
+  std::vector<std::uint8_t> bytes(64);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  }
+  const std::span<const std::uint8_t> all(bytes);
+  std::uint64_t kdf = Fnv1a({});
+  for (std::size_t len = 0; len <= 48; ++len) {
+    kdf = Fnv1a(Kdf32(all.first(len), "mpquic tag key"), kdf);
+    kdf = Fnv1a(Kdf32(all.first(len), ""), kdf);
+  }
+  EXPECT_EQ(kdf, 13471825273168334509u);
+
+  std::uint64_t session = Fnv1a({});
+  for (const std::size_t cn : {0, 4, 8, 9, 16}) {
+    for (const std::size_t sn : {0, 5, 16}) {
+      for (const std::size_t cfg : {0, 3, 32}) {
+        const SessionKeys keys = DeriveSessionKeys(
+            all.subspan(0, cn), all.subspan(cn, sn), all.subspan(cn + sn, cfg));
+        session = Fnv1a(keys.client_to_server, session);
+        session = Fnv1a(keys.server_to_client, session);
+      }
+    }
+  }
+  EXPECT_EQ(session, 6336776535621092953u);
+}
+
 // ---------------------------------------------------------------------------
 // AEAD packet protection
 
