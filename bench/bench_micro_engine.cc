@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) of the engine hot paths outside the
-// codecs: simulator event throughput, received-range tracking, stream
-// reassembly, scheduler decisions, and WSP design generation.
+// codecs: simulator event and timer throughput, received-range tracking,
+// stream reassembly, scheduler decisions, and WSP design generation.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -11,6 +11,7 @@
 #include "quic/scheduler.h"
 #include "quic/streams.h"
 #include "sim/simulator.h"
+#include "sim/timer.h"
 
 namespace {
 
@@ -32,7 +33,8 @@ void BM_SimulatorScheduleRun(benchmark::State& state) {
 BENCHMARK(BM_SimulatorScheduleRun)->Arg(1000)->Arg(100000);
 
 void BM_SimulatorCancelHeavy(benchmark::State& state) {
-  // Half of all events get cancelled — the stale-heap-entry path.
+  // Half of all events get cancelled before the run: each cancel takes
+  // its entry out of the heap in place.
   for (auto _ : state) {
     sim::Simulator sim;
     std::vector<sim::Simulator::EventId> ids;
@@ -46,6 +48,29 @@ void BM_SimulatorCancelHeavy(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SimulatorCancelHeavy)->Arg(10000);
+
+void BM_TimerRearm(benchmark::State& state) {
+  // 1,000 timers, each re-armed 16 times to a later deadline while
+  // pending (an RTO pushed back by every ACK), then all fire.
+  constexpr int kTimers = 1000;
+  constexpr int kRearms = 16;
+  for (auto _ : state) {
+    sim::Simulator sim;
+    std::vector<std::unique_ptr<sim::Timer>> timers;
+    timers.reserve(kTimers);
+    for (int i = 0; i < kTimers; ++i) {
+      timers.push_back(std::make_unique<sim::Timer>(sim, [] {}));
+    }
+    for (int arm = 0; arm < kRearms; ++arm) {
+      for (int i = 0; i < kTimers; ++i) {
+        timers[i]->SetAt(arm * 1000 + i % 977);
+      }
+    }
+    benchmark::DoNotOptimize(sim.Run());
+  }
+  state.SetItemsProcessed(state.iterations() * kTimers * kRearms);
+}
+BENCHMARK(BM_TimerRearm);
 
 void BM_ReceivedTrackerInOrder(benchmark::State& state) {
   for (auto _ : state) {

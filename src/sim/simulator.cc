@@ -17,23 +17,47 @@ Simulator::Event& Simulator::NewEvent(TimePoint when, EventKind kind,
     free_slots_.pop_back();
   }
   Event& event = slots_[slot];
-  event.when = when;
   event.id = next_id_++;
   event.kind = kind;
   event.scope = scope;
-  queue_.push(HeapEntry{when, event.id, slot});
-  ++live_events_;
+  heap_.push_back(HeapEntry{when, event.id, slot});
+  Resift(heap_.size() - 1);
   return event;
 }
 
 void Simulator::FreeSlot(std::uint32_t slot) {
   Event& event = slots_[slot];
+  const std::size_t pos = event.heap_pos;
   event.id = 0;
   event.fn = nullptr;
   event.on_datagram = nullptr;
   ReturnBuffer(std::move(event.datagram.payload));
   free_slots_.push_back(slot);
-  --live_events_;
+  // Fill the hole with the last entry and restore the order around it.
+  const HeapEntry last = heap_.back();
+  heap_.pop_back();
+  if (pos < heap_.size()) {
+    Place(pos, last);
+    Resift(pos);
+  }
+}
+
+void Simulator::Resift(std::size_t pos) {
+  const HeapEntry entry = heap_[pos];
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / 2;
+    if (!Earlier(entry, heap_[parent])) break;
+    Place(pos, heap_[parent]);
+    pos = parent;
+  }
+  const std::size_t size = heap_.size();
+  for (std::size_t child = 2 * pos + 1; child < size; child = 2 * pos + 1) {
+    if (child + 1 < size && Earlier(heap_[child + 1], heap_[child])) ++child;
+    if (!Earlier(heap_[child], entry)) break;
+    Place(pos, heap_[child]);
+    pos = child;
+  }
+  Place(pos, entry);
 }
 
 std::uint32_t Simulator::FindSlot(EventId id) const {
@@ -46,9 +70,7 @@ std::uint32_t Simulator::FindSlot(EventId id) const {
 
 Simulator::EventId Simulator::ScheduleAt(TimePoint when, Callback fn,
                                          EventKind kind, std::uint32_t scope) {
-  Event& event = NewEvent(when, kind, scope);
-  event.fn = std::move(fn);
-  return event.id;
+  return ScheduleRefAt(when, std::move(fn), kind, scope).id;
 }
 
 Simulator::EventId Simulator::ScheduleDatagramAt(TimePoint when,
@@ -62,50 +84,36 @@ Simulator::EventId Simulator::ScheduleDatagramAt(TimePoint when,
   return event.id;
 }
 
-Simulator::EventId Simulator::ArmTimer(TimerEntry& entry, TimePoint when) {
-  if (when < now_) when = now_;
-  const EventId id = next_id_++;
-  wheel_.Arm(entry, when, id);
-  return id;
+Simulator::EventRef Simulator::ScheduleRefAt(TimePoint when, Callback fn,
+                                             EventKind kind,
+                                             std::uint32_t scope) {
+  Event& event = NewEvent(when, kind, scope);
+  event.fn = std::move(fn);
+  return {event.id, static_cast<std::uint32_t>(&event - slots_.data())};
 }
 
-void Simulator::CancelTimer(TimerEntry& entry) { wheel_.Cancel(entry); }
+Simulator::EventRef Simulator::Reschedule(EventRef ref, TimePoint when) {
+  if (when < now_) when = now_;
+  Event& event = slots_[ref.slot];
+  event.id = next_id_++;
+  heap_[event.heap_pos] = HeapEntry{when, event.id, ref.slot};
+  Resift(event.heap_pos);
+  return {event.id, ref.slot};
+}
 
 std::vector<Simulator::PendingEventInfo> Simulator::PendingEvents() const {
   std::vector<PendingEventInfo> out;
-  out.reserve(live_events_ + wheel_.size());
-  for (const Event& event : slots_) {
-    if (event.id == 0) continue;
-    out.push_back({event.id, event.when, event.kind, event.scope});
+  out.reserve(heap_.size());
+  for (const HeapEntry& entry : heap_) {
+    const Event& event = slots_[entry.slot];
+    out.push_back({entry.id, entry.when, event.kind, event.scope});
   }
-  // Wheel timers are pending events like any other; they carry scope 0
-  // (timers are dependent with everything), exactly as the heap-based
-  // timers did.
-  wheel_.ForEach([&out](const TimerEntry& entry) {
-    out.push_back({entry.id(), entry.when(), EventKind::kTimer, 0});
-  });
   std::sort(out.begin(), out.end(),
             [](const PendingEventInfo& a, const PendingEventInfo& b) {
               if (a.when != b.when) return a.when < b.when;
               return a.id < b.id;
             });
   return out;
-}
-
-void Simulator::FireWheelEntry(TimerEntry& entry, bool pop_earliest) {
-  std::function<void()>* fn = entry.callback;
-  const TimePoint when = entry.when();
-  if (pop_earliest) {
-    wheel_.PopEarliest(entry);
-    now_ = when;
-  } else {
-    // Explorer path (FireEvent out of order): fire late without moving
-    // the wheel's horizon — later entries keep their placement.
-    wheel_.Cancel(entry);
-    if (when > now_) now_ = when;
-  }
-  ++events_executed_;
-  (*fn)();
 }
 
 void Simulator::FireSlot(std::uint32_t slot) {
@@ -126,36 +134,22 @@ void Simulator::FireSlot(std::uint32_t slot) {
 
 bool Simulator::FireEvent(EventId id) {
   const std::uint32_t slot = FindSlot(id);
-  if (slot == kNoSlot) {
-    TimerEntry* entry = wheel_.FindById(id);
-    if (entry == nullptr) return false;
-    FireWheelEntry(*entry, /*pop_earliest=*/false);
-    return true;
-  }
-  if (slots_[slot].when > now_) now_ = slots_[slot].when;
+  if (slot == kNoSlot) return false;
+  const TimePoint when = heap_[slots_[slot].heap_pos].when;
+  if (when > now_) now_ = when;
   FireSlot(slot);
   return true;
 }
 
 Simulator::EventId Simulator::DuplicateEvent(EventId id, Duration extra_delay) {
   const std::uint32_t slot = FindSlot(id);
-  if (slot == kNoSlot) {
-    TimerEntry* entry = wheel_.FindById(id);
-    if (entry == nullptr) return 0;
-    // Clone the timer as a plain heap event invoking a copy of the
-    // owner's callback (the original entry stays armed; the clone does
-    // not reset the owning Timer's state when it fires).
-    Callback copy = *entry->callback;
-    const TimePoint when =
-        entry->when() + (extra_delay < 0 ? 0 : extra_delay);
-    return ScheduleAt(when, std::move(copy), EventKind::kTimer, 0);
-  }
+  if (slot == kNoSlot) return 0;
   // Copy the callbacks (std::function targets are CopyConstructible by
   // construction) and the carried datagram — a duplicated delivery holds
   // its own bytes — before NewEvent may grow the slab.
   const Event& original = slots_[slot];
-  const TimePoint when =
-      original.when + (extra_delay < 0 ? 0 : extra_delay);
+  const TimePoint when = heap_[original.heap_pos].when +
+                         (extra_delay < 0 ? 0 : extra_delay);
   Callback fn = original.fn;
   DatagramCallback on_datagram = original.on_datagram;
   Datagram datagram = original.datagram;
@@ -168,44 +162,13 @@ Simulator::EventId Simulator::DuplicateEvent(EventId id, Duration extra_delay) {
 
 void Simulator::Cancel(EventId id) {
   const std::uint32_t slot = FindSlot(id);
-  if (slot != kNoSlot) {
-    FreeSlot(slot);
-    return;
-  }
-  TimerEntry* entry = wheel_.FindById(id);
-  if (entry != nullptr) wheel_.Cancel(*entry);
+  if (slot != kNoSlot) FreeSlot(slot);
 }
 
 bool Simulator::RunOne(TimePoint until) {
-  // Discard stale heap entries so the top (if any) is a live event.
-  while (!queue_.empty() && slots_[queue_.top().slot].id != queue_.top().id) {
-    queue_.pop();
-  }
-  TimerEntry* timer = wheel_.PeekEarliest();
-  bool fire_timer;
-  if (timer != nullptr && !queue_.empty()) {
-    const HeapEntry top = queue_.top();
-    fire_timer = timer->when() != top.when ? timer->when() < top.when
-                                           : timer->id() < top.id;
-  } else if (timer != nullptr) {
-    fire_timer = true;
-  } else if (!queue_.empty()) {
-    fire_timer = false;
-  } else {
-    return false;
-  }
-
-  if (fire_timer) {
-    if (timer->when() > until) return false;
-    FireWheelEntry(*timer, /*pop_earliest=*/true);
-    return true;
-  }
-
-  const HeapEntry top = queue_.top();
-  if (top.when > until) return false;
-  queue_.pop();
-  now_ = top.when;
-  FireSlot(top.slot);
+  if (heap_.empty() || heap_.front().when > until) return false;
+  now_ = heap_.front().when;
+  FireSlot(heap_.front().slot);
   return true;
 }
 

@@ -17,19 +17,21 @@
 // Storage: pending events live in a slab of slots that is reused as
 // events fire, and a datagram in flight rides in its event's slot, so
 // once the slab is warm an event whose callback fits std::function's
-// inline buffer is scheduled and fired without allocating. The simulator
-// also keeps the world's free list of datagram payload buffers
-// (TakeBuffer / ReturnBuffer; docs/INTERNALS.md).
+// inline buffer is scheduled and fired without allocating. The firing
+// order comes from one binary min-heap over (when, id) whose entries
+// each slot indexes, so firing, cancelling or re-timing an event updates
+// its entry in place and the heap holds exactly the pending events.
+// Protocol timers (sim::Timer) are ordinary kTimer events on it. The
+// simulator also keeps the world's free list of datagram payload
+// buffers (TakeBuffer / ReturnBuffer; docs/INTERNALS.md).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "common/types.h"
 #include "sim/datagram.h"
-#include "sim/timer_wheel.h"
 
 namespace mpq::sim {
 
@@ -44,6 +46,14 @@ class Simulator {
   using Callback = std::function<void()>;
   /// Callback of an event that carries a datagram (ScheduleDatagramAt).
   using DatagramCallback = std::function<void(Datagram&&)>;
+
+  /// A pending event together with its slab slot, for owners that
+  /// re-time or cancel it in O(1) (sim::Timer). Ids are never reused, so
+  /// a ref whose slot no longer holds its id is simply not pending.
+  struct EventRef {
+    EventId id = 0;
+    std::uint32_t slot = 0;
+  };
 
   /// One pending event as the explorer sees it. `scope` is an
   /// independence class assigned at schedule time (deliveries use
@@ -84,21 +94,31 @@ class Simulator {
                              EventKind kind = EventKind::kGeneric,
                              std::uint32_t scope = 0);
 
+  /// ScheduleAt, returning the event's slot along with its id.
+  EventRef ScheduleRefAt(TimePoint when, Callback fn,
+                         EventKind kind = EventKind::kGeneric,
+                         std::uint32_t scope = 0);
+
+  /// Move the pending event `ref` to `when` (clamped to now), keeping its
+  /// slot and callback. It takes a fresh id — one id per (re-)schedule,
+  /// as cancelling and scheduling anew would — so it fires after every
+  /// event already due at `when`. Returns the new ref; `ref` must be
+  /// pending.
+  EventRef Reschedule(EventRef ref, TimePoint when);
+
+  bool IsPending(EventRef ref) const {
+    return ref.id != 0 && ref.slot < slots_.size() &&
+           slots_[ref.slot].id == ref.id;
+  }
+
   /// Cancel a pending event. Cancelling an already-fired or unknown id is
   /// a harmless no-op (protocol timers race with the events that clear
   /// them; this mirrors how timer APIs behave in real stacks).
   void Cancel(EventId id);
-
-  /// Arm `entry` to fire at `when` (clamped to now) on the shared timer
-  /// wheel — the path sim::Timer uses: the callback is stored once by its
-  /// owner and never copied per arm. Exactly one event
-  /// id is consumed per arm (the same budget a ScheduleAt-based timer
-  /// would use), so the merged (when, id) firing order is identical to
-  /// scheduling the timer as a heap event. Returns the assigned id.
-  EventId ArmTimer(TimerEntry& entry, TimePoint when);
-
-  /// Disarm a wheel timer (no-op if not armed).
-  void CancelTimer(TimerEntry& entry);
+  /// The same in O(1), without searching the slab for the id.
+  void Cancel(EventRef ref) {
+    if (IsPending(ref)) FreeSlot(ref.slot);
+  }
 
   /// Run until the queue is empty or simulated time would exceed `until`.
   /// Returns the number of events executed.
@@ -127,7 +147,7 @@ class Simulator {
   /// wire duplication. Returns 0 for unknown ids.
   EventId DuplicateEvent(EventId id, Duration extra_delay = 0);
 
-  bool empty() const { return live_events_ == 0 && wheel_.empty(); }
+  bool empty() const { return heap_.empty(); }
   std::uint64_t events_executed() const { return events_executed_; }
 
   // -- datagram payload buffers ------------------------------------------
@@ -153,61 +173,57 @@ class Simulator {
 
  private:
   /// One slot of the event slab. `id` 0 marks a free slot; an event sets
-  /// either `fn` or, with its `datagram`, `on_datagram`.
+  /// either `fn` or, with its `datagram`, `on_datagram`. A pending event's
+  /// time is kept in its heap entry, heap_[heap_pos].
   struct Event {
-    TimePoint when = 0;
     EventId id = 0;  // monotonic; provides FIFO tie-breaking at equal times
-    EventKind kind = EventKind::kGeneric;
     std::uint32_t scope = 0;
+    std::uint32_t heap_pos = 0;
+    EventKind kind = EventKind::kGeneric;
     Callback fn;
     DatagramCallback on_datagram;
     Datagram datagram;
   };
-  /// A heap entry is stale once its slot's id no longer matches (the
-  /// event fired or was cancelled, and the slot may have been reused).
+  /// The heap orders entries by (when, id); `slot` leads back to the
+  /// event, whose heap_pos leads here.
   struct HeapEntry {
     TimePoint when;
     EventId id;
     std::uint32_t slot;
   };
-  struct HeapCompare {
-    // std::priority_queue is a max-heap; invert for earliest-first and
-    // lowest-id-first among equal timestamps.
-    bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.id > b.id;
-    }
-  };
+  static bool Earlier(const HeapEntry& a, const HeapEntry& b) {
+    if (a.when != b.when) return a.when < b.when;
+    return a.id < b.id;
+  }
 
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
-  /// Fire one wheel timer: disarm first (so the callback may re-arm),
-  /// advance time, invoke.
-  void FireWheelEntry(TimerEntry& entry, bool pop_earliest);
-
   /// Claim a slot for a new event and push its heap entry.
   Event& NewEvent(TimePoint when, EventKind kind, std::uint32_t scope);
-  /// Release a slot: its callbacks are destroyed and its datagram's
-  /// buffer is returned.
+  /// Release a pending event's slot and heap entry: its callbacks are
+  /// destroyed and its datagram's buffer is returned.
   void FreeSlot(std::uint32_t slot);
-  /// The slot of pending heap event `id`, or kNoSlot.
+  /// The slot of pending event `id`, or kNoSlot.
   std::uint32_t FindSlot(EventId id) const;
   /// Free the slot and invoke its event (time already advanced).
   void FireSlot(std::uint32_t slot);
 
+  /// Store `entry` at heap_[pos] and record the position in its slot.
+  void Place(std::size_t pos, const HeapEntry& entry) {
+    heap_[pos] = entry;
+    slots_[entry.slot].heap_pos = static_cast<std::uint32_t>(pos);
+  }
+  /// Move the entry at `pos` up or down until the heap order holds again
+  /// (after its key changed, or another entry was moved into `pos`).
+  void Resift(std::size_t pos);
+
   TimePoint now_ = 0;
   EventId next_id_ = 1;
   std::uint64_t events_executed_ = 0;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapCompare> queue_;
-  // Firing or cancelling frees the slot; stale heap entries are skipped
-  // on pop. The heap never holds more stale entries than were cancelled.
+  std::vector<HeapEntry> heap_;  // one entry per pending event
   std::vector<Event> slots_;
   std::vector<std::uint32_t> free_slots_;
-  std::size_t live_events_ = 0;
   std::vector<std::vector<std::uint8_t>> spare_buffers_;
-  // Protocol timers (EventKind::kTimer via sim::Timer) live here, not in
-  // the heap; RunOne merges the two sources by exact (when, id).
-  TimerWheel wheel_;
 };
 
 }  // namespace mpq::sim

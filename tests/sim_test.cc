@@ -3,8 +3,11 @@
 // queues, random loss, routing, and the Fig. 2 topology builder.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -54,9 +57,9 @@ TEST(Simulator, CancelUnknownIdIsNoop) {
 }
 
 TEST(Simulator, CancelledSlotReuseNeverFiresStaleEntry) {
-  // A cancelled event leaves its heap entry behind, and the next event
-  // reuses its storage slot. The stale entry (due at 100) must be
-  // skipped, not fire the new event (due at 200) early or twice.
+  // Cancelling removes the event's heap entry and frees its storage
+  // slot, which the next event reuses. Nothing of the cancelled event
+  // (due at 100) may fire the new event (due at 200) early or twice.
   Simulator sim;
   std::vector<TimePoint> fired_at;
   const Simulator::EventId cancelled =
@@ -74,7 +77,7 @@ TEST(Simulator, CancelledSlotReuseNeverFiresStaleEntry) {
   EXPECT_EQ(pending[0].id, live);
   EXPECT_EQ(pending[0].when, 200);
 
-  EXPECT_FALSE(sim.RunOne(150));  // the stale entry at 100 fires nothing
+  EXPECT_FALSE(sim.RunOne(150));  // nothing is left due at 100
   EXPECT_EQ(sim.now(), 0);
   const Simulator::EventId copy = sim.DuplicateEvent(live, 10);
   ASSERT_NE(copy, 0u);
@@ -143,6 +146,148 @@ TEST(Timer, ArmedStateTracksLifecycle) {
   EXPECT_EQ(timer.deadline(), 10);
   sim.Run();
   EXPECT_FALSE(timer.armed());
+}
+
+TEST(Timer, InterleavesWithOtherEventsById) {
+  Simulator sim;
+  std::vector<int> order;
+  Timer t1(sim, [&] { order.push_back(1); });
+  t1.SetAt(100);  // id 1
+  sim.ScheduleAt(100, [&] { order.push_back(2); });  // id 2
+  Timer t3(sim, [&] { order.push_back(3); });
+  t3.SetAt(100);  // id 3
+  sim.ScheduleAt(50, [&] { order.push_back(0); });  // id 4, earlier time
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(Timer, ReArmConsumesOneIdPerArm) {
+  // A timer re-armed n times consumes exactly n ids, as cancelling and
+  // scheduling anew would; the byte-identity of digests and qlogs
+  // depends on that id budget.
+  Simulator sim;
+  Timer timer(sim, [] {});
+  timer.SetAt(10);
+  timer.SetAt(20);
+  timer.SetAt(30);                                  // ids 1, 2, 3
+  const auto id = sim.ScheduleAt(40, [] {});        // must be id 4
+  EXPECT_EQ(id, 4u);
+  sim.Run();
+}
+
+TEST(Timer, ReArmFromInsideCallback) {
+  // Classic periodic timer: the callback re-arms its own Timer. The
+  // Simulator frees the event before invoking the callback, so the
+  // re-arm schedules a fresh one.
+  Simulator sim;
+  int ticks = 0;
+  Timer periodic(sim, [&] {
+    ++ticks;
+    if (ticks < 5) periodic.SetIn(1000);
+  });
+  periodic.SetIn(1000);
+  sim.Run();
+  EXPECT_EQ(ticks, 5);
+  EXPECT_EQ(sim.now(), 5000);
+}
+
+TEST(Timer, CancelByEventId) {
+  Simulator sim;
+  bool fired = false;
+  Timer timer(sim, [&] { fired = true; });
+  timer.SetAt(100);
+  // The arm consumed id 1; Simulator::Cancel must find the timer by it.
+  sim.Cancel(1);
+  sim.Run();
+  EXPECT_FALSE(fired);
+  EXPECT_FALSE(timer.armed());
+}
+
+TEST(Timer, PendingEventsListsTimers) {
+  Simulator sim;
+  Timer timer(sim, [] {});
+  timer.SetAt(500);                                    // id 1
+  sim.ScheduleAt(300, [] {}, EventKind::kDelivery, 7); // id 2
+  const auto pending = sim.PendingEvents();
+  ASSERT_EQ(pending.size(), 2u);
+  EXPECT_EQ(pending[0].id, 2u);
+  EXPECT_EQ(pending[0].when, 300);
+  EXPECT_EQ(pending[0].kind, EventKind::kDelivery);
+  EXPECT_EQ(pending[1].id, 1u);
+  EXPECT_EQ(pending[1].when, 500);
+  EXPECT_EQ(pending[1].kind, EventKind::kTimer);
+  EXPECT_EQ(pending[1].scope, 0u);
+}
+
+TEST(Timer, FireEventOutOfOrderFiresLate) {
+  // Explorer semantics: firing the *later* timer first advances time to
+  // its deadline; the earlier timer then fires "late" at that same time.
+  Simulator sim;
+  std::vector<std::pair<int, TimePoint>> fired;
+  Timer early(sim, [&] { fired.push_back({1, sim.now()}); });
+  Timer late(sim, [&] { fired.push_back({2, sim.now()}); });
+  early.SetAt(100);  // id 1
+  late.SetAt(900);   // id 2
+  ASSERT_TRUE(sim.FireEvent(2));
+  EXPECT_FALSE(late.armed());
+  EXPECT_TRUE(early.armed());
+  ASSERT_TRUE(sim.FireEvent(1));
+  EXPECT_EQ(fired, (std::vector<std::pair<int, TimePoint>>{{2, 900},
+                                                           {1, 900}}));
+  EXPECT_TRUE(sim.empty());
+  // Unknown ids are rejected.
+  EXPECT_FALSE(sim.FireEvent(99));
+}
+
+TEST(Timer, DuplicateEventClonesTimer) {
+  Simulator sim;
+  int fires = 0;
+  Timer timer(sim, [&] { ++fires; });
+  timer.SetAt(100);  // id 1
+  const auto copy = sim.DuplicateEvent(1, 50);
+  EXPECT_NE(copy, 0u);
+  sim.Run();
+  // Original at 100 and the clone at 150 both invoke the callback.
+  EXPECT_EQ(fires, 2);
+  EXPECT_EQ(sim.now(), 150);
+}
+
+TEST(Timer, DeadlineTracksArmedState) {
+  Simulator sim;
+  Timer timer(sim, [] {});
+  EXPECT_EQ(timer.deadline(), kTimeInfinite);
+  timer.SetAt(250);
+  EXPECT_TRUE(timer.armed());
+  EXPECT_EQ(timer.deadline(), 250);
+  sim.Run();
+  // After firing the timer reports disarmed/infinite.
+  EXPECT_FALSE(timer.armed());
+  EXPECT_EQ(timer.deadline(), kTimeInfinite);
+  timer.SetIn(100);
+  timer.Cancel();
+  EXPECT_EQ(timer.deadline(), kTimeInfinite);
+  EXPECT_FALSE(timer.armed());
+}
+
+TEST(Timer, ManyTimersFireInDeadlineOrder) {
+  // End-to-end: hundreds of timers with deadlines spread over five
+  // decades fire in exact deadline order under Run().
+  Simulator sim;
+  Rng rng(42);
+  std::vector<std::unique_ptr<Timer>> timers;
+  std::vector<TimePoint> fired;
+  std::vector<TimePoint> expected;
+  for (int i = 0; i < 400; ++i) {
+    const auto when =
+        static_cast<TimePoint>(rng.NextU64() % 100'000'000);  // up to 100 s
+    expected.push_back(when);
+    timers.push_back(std::make_unique<Timer>(
+        sim, [&fired, &sim] { fired.push_back(sim.now()); }));
+    timers.back()->SetAt(when);
+  }
+  sim.Run();
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(fired, expected);
 }
 
 // ---------------------------------------------------------------------------
@@ -578,9 +723,16 @@ TEST(Link, ZeroJitterPreservesOrder) {
 // Model-based property test: the Simulator against a naive reference.
 
 TEST(SimulatorProperty, MatchesNaiveReferenceUnderRandomOps) {
-  // Random mix of schedule/cancel operations, executed on the real
-  // Simulator and on a trivially correct reference (sorted vector with
-  // stable FIFO ordering). Firing orders must be identical.
+  // Random mix of operations, executed on the real Simulator and on a
+  // trivially correct reference (a list scanned for the earliest live
+  // (when, seq) entry, where every schedule and every timer arm takes the
+  // next seq): schedule and cancel plain events; arm a few sim::Timers
+  // earlier or later while armed, cancel them, re-arm them after they
+  // fired; timers that re-arm from their own callback; partial runs in
+  // between. Firing orders and armed states must be identical.
+  constexpr int kTimers = 3;
+  constexpr int kTimerTag = 1000;
+  constexpr std::size_t kNone = ~std::size_t{0};
   Rng rng(20260705);
   for (int round = 0; round < 50; ++round) {
     Simulator sim;
@@ -588,41 +740,117 @@ TEST(SimulatorProperty, MatchesNaiveReferenceUnderRandomOps) {
       TimePoint when;
       std::uint64_t seq;
       int tag;
-      bool cancelled = false;
+      bool live = true;
     };
     std::vector<RefEvent> reference;
-    std::vector<Simulator::EventId> ids;
-    std::vector<int> fired_real;
+    TimePoint ref_now = 0;
     std::uint64_t seq = 0;
+    std::vector<int> fired_real;
+    std::vector<int> fired_expected;
+    auto ref_schedule = [&](TimePoint when, int tag) {
+      reference.push_back({std::max(when, ref_now), seq++, tag});
+      return reference.size() - 1;
+    };
 
-    const int ops = 40;
+    // Timer k re-arms itself `period` later from its callback, k times
+    // in all (timer 0 never does).
+    struct TimerState {
+      Duration period;
+      int real_rearms;
+      int ref_rearms;
+      std::size_t ref_pending = kNone;
+    };
+    std::vector<TimerState> states;
+    std::vector<std::unique_ptr<Timer>> timers;
+    for (int k = 0; k < kTimers; ++k) {
+      const auto period = static_cast<Duration>(1 + rng.NextBounded(100));
+      states.push_back({period, k, k});
+    }
+    for (int k = 0; k < kTimers; ++k) {
+      timers.push_back(std::make_unique<Timer>(sim, [&, k] {
+        fired_real.push_back(kTimerTag + k);
+        if (states[k].real_rearms > 0) {
+          --states[k].real_rearms;
+          timers[k]->SetIn(states[k].period);
+        }
+      }));
+    }
+    auto ref_cancel_timer = [&](int k) {
+      if (states[k].ref_pending != kNone) {
+        reference[states[k].ref_pending].live = false;
+      }
+      states[k].ref_pending = kNone;
+    };
+    auto ref_arm = [&](int k, TimePoint when) {
+      ref_cancel_timer(k);
+      states[k].ref_pending = ref_schedule(when, kTimerTag + k);
+    };
+    auto ref_run = [&](TimePoint until) {
+      for (;;) {
+        std::size_t next = kNone;
+        for (std::size_t i = 0; i < reference.size(); ++i) {
+          const RefEvent& e = reference[i];
+          if (!e.live) continue;
+          if (next == kNone || e.when < reference[next].when ||
+              (e.when == reference[next].when && e.seq < reference[next].seq)) {
+            next = i;
+          }
+        }
+        if (next == kNone || reference[next].when > until) return;
+        reference[next].live = false;
+        ref_now = reference[next].when;
+        const int tag = reference[next].tag;
+        fired_expected.push_back(tag);
+        if (tag < kTimerTag) continue;
+        const int k = tag - kTimerTag;
+        states[k].ref_pending = kNone;
+        if (states[k].ref_rearms > 0) {
+          --states[k].ref_rearms;
+          ref_arm(k, ref_now + states[k].period);
+        }
+      }
+    };
+
+    std::vector<Simulator::EventId> ids;
+    std::vector<std::size_t> event_refs;
+    const int ops = 60;
     for (int op = 0; op < ops; ++op) {
-      if (!ids.empty() && rng.NextBool(0.25)) {
-        // Cancel a random still-known event (possibly already cancelled —
-        // must be harmless in both).
+      const TimePoint when = static_cast<TimePoint>(rng.NextBounded(500));
+      const double dice = rng.NextDouble();
+      if (dice < 0.15 && !ids.empty()) {
+        // Cancel a random still-known event (possibly already cancelled
+        // or fired — must be harmless in both).
         const std::size_t pick = rng.NextBounded(ids.size());
         sim.Cancel(ids[pick]);
-        reference[pick].cancelled = true;
+        reference[event_refs[pick]].live = false;
+      } else if (dice < 0.45) {
+        const int k = static_cast<int>(rng.NextBounded(kTimers));
+        timers[k]->SetAt(when);
+        ref_arm(k, when);
+      } else if (dice < 0.55) {
+        const int k = static_cast<int>(rng.NextBounded(kTimers));
+        timers[k]->Cancel();
+        ref_cancel_timer(k);
+      } else if (dice < 0.65) {
+        const TimePoint until =
+            sim.now() + static_cast<Duration>(rng.NextBounded(100));
+        sim.Run(until);
+        ref_run(until);
       } else {
-        const TimePoint when = static_cast<TimePoint>(rng.NextBounded(500));
         const int tag = static_cast<int>(ids.size());
         ids.push_back(sim.ScheduleAt(
             when, [tag, &fired_real] { fired_real.push_back(tag); }));
-        reference.push_back({when, seq++, tag});
+        event_refs.push_back(ref_schedule(when, tag));
+      }
+      for (int k = 0; k < kTimers; ++k) {
+        ASSERT_EQ(timers[k]->armed(), states[k].ref_pending != kNone)
+            << "round " << round << " op " << op << " timer " << k;
       }
     }
     sim.Run();
-
-    std::vector<RefEvent> expected = reference;
-    std::erase_if(expected, [](const RefEvent& e) { return e.cancelled; });
-    std::stable_sort(expected.begin(), expected.end(),
-                     [](const RefEvent& a, const RefEvent& b) {
-                       if (a.when != b.when) return a.when < b.when;
-                       return a.seq < b.seq;
-                     });
-    std::vector<int> fired_expected;
-    for (const RefEvent& e : expected) fired_expected.push_back(e.tag);
+    ref_run(kTimeInfinite);
     ASSERT_EQ(fired_real, fired_expected) << "round " << round;
+    EXPECT_TRUE(sim.empty());
   }
 }
 
