@@ -446,6 +446,33 @@ TEST(PathLoss, AckOnPathClearsPotentiallyFailed) {
   EXPECT_EQ(path->rto_count(), 0);  // backoff reset
 }
 
+// A send clocked out by an ACK happens at the ACK's simulated instant. If
+// the path dies right after it, the RTO must still see "no ACK since our
+// last transmission": equal timestamps do not mean the ACK came later.
+TEST(PathLoss, RtoAfterSameInstantAckClockedSendMarksPotentiallyFailed) {
+  auto path = MakePath();
+  path->AllocatePacketNumber();
+  TrackSent(*path, PacketNumber{1}, 1000);
+  path->OnAckReceived(AckUpTo(PacketNumber{1}), 50 * kMillisecond);
+  path->AllocatePacketNumber();
+  TrackSent(*path, PacketNumber{2}, 50 * kMillisecond);
+  path->OnRetransmissionTimeout(500 * kMillisecond);
+  EXPECT_TRUE(path->potentially_failed());
+}
+
+// The mirror order: an ACK that acknowledges data after the send, at the
+// same instant, is activity since that send.
+TEST(PathLoss, RtoAfterSameInstantAckOfLastSendKeepsPathUsable) {
+  auto path = MakePath();
+  path->AllocatePacketNumber();
+  TrackSent(*path, PacketNumber{1}, 1000);
+  path->AllocatePacketNumber();
+  TrackSent(*path, PacketNumber{2}, 50 * kMillisecond);
+  path->OnAckReceived(AckUpTo(PacketNumber{1}), 50 * kMillisecond);
+  path->OnRetransmissionTimeout(500 * kMillisecond);
+  EXPECT_FALSE(path->potentially_failed());
+}
+
 TEST(PathLoss, RtoBackoffDoubles) {
   auto path = MakePath();
   path->rtt().AddSample(100 * kMillisecond, 0);
