@@ -31,7 +31,11 @@ constexpr BlockStep kBlockStep = [] {
 
 }  // namespace
 
-std::uint8_t PatternByte(std::uint32_t id, ByteCount offset) {
+// Payload checkers call this once per byte, and its 39 bytes straddling a
+// 64-byte line slowed such a loop by ~25%: it starts on a line, whatever
+// code grows before it.
+__attribute__((aligned(64))) std::uint8_t PatternByte(std::uint32_t id,
+                                                      ByteCount offset) {
   // Cheap non-repeating-ish pattern; mixes the offset's low and high bits
   // so truncation/reordering bugs can't alias to the right bytes.
   const std::uint64_t x = offset.value() * kStep + id * kSalt;

@@ -21,6 +21,9 @@ void WriteFrameFields(JsonWriter& writer, const quic::Frame& frame) {
           writer.Key("largest_acked").UInt(f.LargestAcked().value());
           writer.Key("ack_delay_us").Int(f.ack_delay);
           writer.Key("ranges").UInt(f.ranges.size());
+        } else if constexpr (std::is_same_v<T, StopWaitingFrame>) {
+          writer.Key("acked_path").UInt(f.path_id.value());
+          writer.Key("least_unacked").UInt(f.least_unacked.value());
         } else if constexpr (std::is_same_v<T, StreamFrame>) {
           writer.Key("stream").UInt(f.stream_id.value());
           writer.Key("offset").UInt(f.offset.value());

@@ -1,9 +1,11 @@
 // Receive-side packet-number tracking for one path: which PNs arrived,
-// rendered as the descending range list of an ACK frame (up to 256 ranges,
-// §4.1 "Low-BDP-losses" — this is the capacity TCP's 2-3 SACK blocks
-// lack). Ranges are kept coalesced, in a sorted vector, as packets
-// arrive: an in-order packet extends the last range in place, and
-// duplicate detection is a binary search, O(log ranges).
+// rendered as the descending range list of an ACK frame (§4.1
+// "Low-BDP-losses": many more ranges than TCP's 2-3 SACK blocks). Ranges
+// are kept coalesced, in a sorted vector, as packets arrive: an in-order
+// packet extends the last range in place, and duplicate detection is a
+// binary search, O(log ranges). The peer's STOP_WAITING sets a floor
+// below which nothing is reported or accepted any more, which is what
+// keeps the list short.
 #pragma once
 
 #include <algorithm>
@@ -18,12 +20,16 @@ class ReceivedPacketTracker {
  public:
   /// Record an arriving packet number. Returns false for duplicates (the
   /// packet must then be ignored — its nonce was already consumed).
+  /// Packets below the floor count as duplicates.
   bool OnPacketReceived(PacketNumber pn, TimePoint now) {
-    if (pn == 0) return false;
+    if (pn < floor_) return false;
     if (!ranges_.empty() && ranges_.back().last + 1 == pn) {
       ranges_.back().last = pn;  // in order: the common case
     } else if (!Insert(pn)) {
       return false;
+    } else if (ranges_.front().last < floor_ && ranges_.size() > 1) {
+      // The range kept below the floor as the newest is the newest no more.
+      ranges_.erase(ranges_.begin());
     }
     if (pn > largest_) {
       largest_ = pn;
@@ -32,6 +38,8 @@ class ReceivedPacketTracker {
     return true;
   }
 
+  /// Whether `pn` lies in a range still kept (ranges below the floor are
+  /// forgotten; OnPacketReceived rejects their packets all the same).
   bool AlreadyReceived(PacketNumber pn) const {
     auto it = UpperBound(pn);
     if (it == ranges_.begin()) return false;
@@ -42,11 +50,30 @@ class ReceivedPacketTracker {
   PacketNumber largest_received() const { return largest_; }
   TimePoint largest_received_time() const { return largest_time_; }
   bool AnythingToAck() const { return largest_ != 0; }
+  /// Lowest packet number still accepted and reported (1 until the first
+  /// STOP_WAITING).
+  PacketNumber floor() const { return floor_; }
 
-  /// Fill `out` with the descending ACK ranges, reusing its storage. If
-  /// there are more than AckFrame::kMaxAckRanges distinct ranges, the
-  /// lowest (oldest) ones are silently dropped — exactly the bounded-SACK
-  /// truncation behaviour, except the bound is 256 instead of 3.
+  /// The peer's STOP_WAITING: it waits for nothing below `least_unacked`.
+  /// Drops every range wholly below that floor except the newest one, so
+  /// the largest acknowledged packet never changes. Returns false, and
+  /// changes nothing, for a floor above largest_received() + 1: the
+  /// packet carrying an honest STOP_WAITING is at or above its floor.
+  bool OnStopWaiting(PacketNumber least_unacked) {
+    if (least_unacked > largest_ + 1) return false;
+    if (least_unacked <= floor_) return true;
+    floor_ = least_unacked;
+    auto keep = std::partition_point(
+        ranges_.begin(), ranges_.end(),
+        [this](const Interval& r) { return r.last < floor_; });
+    if (keep == ranges_.end()) --keep;  // the newest range stays
+    ranges_.erase(ranges_.begin(), keep);
+    return true;
+  }
+
+  /// Fill `out` with the descending ACK ranges, reusing its storage, at
+  /// most AckFrame::kMaxAckRanges of them (the wire limit; the lowest are
+  /// left out).
   void BuildAckRanges(std::vector<AckFrame::Range>& out) const {
     out.clear();
     for (auto it = ranges_.rbegin();
@@ -101,6 +128,7 @@ class ReceivedPacketTracker {
   std::vector<Interval> ranges_;
   PacketNumber largest_{};
   TimePoint largest_time_ = 0;
+  PacketNumber floor_{1};  // packet numbers start at 1
 };
 
 }  // namespace mpq::quic

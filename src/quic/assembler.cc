@@ -269,6 +269,16 @@ bool PacketAssembler::SendOnePacket(
 
   if (frames.empty()) return false;
 
+  // 5. A pending STOP_WAITING rides along; it never makes a packet alone.
+  if (path.stop_waiting_pending()) {
+    frames.emplace_back(StopWaitingFrame{path.id(), path.least_unacked()});
+    if (FrameWireSize(frames.back()) <= budget) {
+      path.set_stop_waiting_pending(false);
+    } else {
+      frames.pop_back();
+    }
+  }
+
   bool retransmittable = false;
   for (const Frame& frame : frames) {
     if (IsRetransmittable(frame)) retransmittable = true;

@@ -8,7 +8,8 @@
 // Packing order per packet (§2/§3): piggybacked ACK, path-pinned control
 // frames, shared control frames, then stream data round-robined across
 // the send streams (one chunk each per pass, which is what "streams
-// prevent head-of-line blocking" rests on).
+// prevent head-of-line blocking" rests on), and last a pending
+// STOP_WAITING for the path.
 #pragma once
 
 #include <cstdint>

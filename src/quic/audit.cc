@@ -83,7 +83,14 @@ void Auditor::Impl::CheckPath(const Path& path) {
     AUDIT(ranges.front().largest == path.receiver_.largest_received(),
           "first ACK range does not end at largest_received");
   }
+  // STOP_WAITING floor: never above what arrived, and nothing wholly
+  // below it is kept but the newest range.
+  const PacketNumber floor = path.receiver_.floor();
+  AUDIT(floor <= path.receiver_.largest_received() + 1,
+        "STOP_WAITING floor above largest_received + 1");
   for (std::size_t i = 0; i < ranges.size(); ++i) {
+    AUDIT(i == 0 || ranges[i].largest >= floor,
+          "ACK range wholly below the STOP_WAITING floor kept");
     AUDIT(ranges[i].smallest <= ranges[i].largest,
           "ACK range with smallest > largest");
     if (i + 1 < ranges.size()) {

@@ -13,6 +13,8 @@
 //   - flow-control offsets never exceed the advertised limits, on either
 //     side and at either level (connection and stream),
 //   - receive-side ACK ranges are sorted, disjoint and coalesced,
+//   - the STOP_WAITING floor is at most the largest received packet + 1,
+//     and no range lies wholly below it except the newest,
 //   - the congestion window never falls below the controller's floor.
 //
 // In an MPQ_AUDIT build a violation prints a diagnostic and aborts, so a
@@ -56,6 +58,9 @@ class Auditor {
   /// Digest helper: read-only view of `path`'s tracked in-flight packets
   /// (private state exposed through the Auditor friendship).
   static const SentPacketRing& SentPackets(const Path& path);
+  /// Digest helper: whether `path` sent a tracked packet after the last
+  /// ACK that acknowledged something (what its next RTO decides on).
+  static bool SentSinceAck(const Path& path);
 
  private:
   class Impl;

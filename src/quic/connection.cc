@@ -434,6 +434,24 @@ void Connection::OnAckFrame(const AckFrame& ack) {
   recovery_->OnAckReceived(*it->second, ack);
 }
 
+void Connection::OnStopWaitingFrame(const StopWaitingFrame& frame) {
+  auto it = paths_.find(frame.path_id);
+  if (it == paths_.end()) return;
+  // A floor above everything received is proof of a broken or forged
+  // peer, as an ACK of an unsent packet is: dropping the ranges below it
+  // would forget packets the peer still waits for.
+  if (!it->second->receiver().OnStopWaiting(frame.least_unacked)) {
+    ++stats_.invalid_stop_waitings_ignored;
+    MPQ_WARN(sim_.now(), "quic",
+             "cid=%llu path %u STOP_WAITING %llu above largest received "
+             "%llu ignored",
+             static_cast<unsigned long long>(cid_), frame.path_id.value(),
+             static_cast<unsigned long long>(frame.least_unacked.value()),
+             static_cast<unsigned long long>(
+                 it->second->receiver().largest_received().value()));
+  }
+}
+
 void Connection::OnWindowUpdateFrame(const WindowUpdateFrame& frame) {
   if (frame.stream_id == 0) {
     flow_.OnMaxData(frame.max_data);

@@ -160,6 +160,7 @@ class Connection : private RecoveryDelegate,
   bool connection_closed() const override { return closed_; }
   Path* EnsurePath(PathId id, const sim::Datagram& datagram) override;
   void OnAckFrame(const AckFrame& ack) override;
+  void OnStopWaitingFrame(const StopWaitingFrame& frame) override;
   void OnWindowUpdateFrame(const WindowUpdateFrame& frame) override;
   void OnPathsFrame(const PathsFrame& frame) override;
   void OnAddAddressFrame(const AddAddressFrame& frame) override;

@@ -83,6 +83,8 @@ void HashPath(Hasher& h, const Path& path) {
   h.Bool(path.potentially_failed());
   h.Bool(path.remote_reported_failed());
   h.Bool(path.ack_pending());
+  h.Bool(path.stop_waiting_pending());
+  h.Bool(Auditor::SentSinceAck(path));
   h.U64(static_cast<std::uint64_t>(path.unacked_retransmittable_count()));
   h.U64(path.congestion().congestion_window().value());
   h.U64(path.congestion().bytes_in_flight().value());
@@ -96,7 +98,8 @@ void HashPath(Hasher& h, const Path& path) {
     h.U64(packet.frames.size());
   });
 
-  // Receive side: the coalesced ACK ranges.
+  // Receive side: the STOP_WAITING floor and the coalesced ACK ranges.
+  h.U64(path.receiver().floor().value());
   const auto ranges = path.receiver().BuildAckRanges();
   h.U64(ranges.size());
   for (const auto& range : ranges) {
@@ -112,6 +115,8 @@ void HashPath(Hasher& h, const Path& path) {
 const SentPacketRing& Auditor::SentPackets(const Path& path) {
   return path.sent_;
 }
+
+bool Auditor::SentSinceAck(const Path& path) { return path.sent_since_ack_; }
 
 std::uint64_t Auditor::Digest(const Connection& conn) {
   Hasher h;

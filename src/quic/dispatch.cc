@@ -98,6 +98,8 @@ void FrameDispatcher::ProcessFrames(Path& path,
           using T = std::decay_t<decltype(f)>;
           if constexpr (std::is_same_v<T, AckFrame>) {
             delegate_.OnAckFrame(f);
+          } else if constexpr (std::is_same_v<T, StopWaitingFrame>) {
+            delegate_.OnStopWaitingFrame(f);
           } else if constexpr (std::is_same_v<T, StreamFrame>) {
             OnStreamFrameReceived(f);
           } else if constexpr (std::is_same_v<T, WindowUpdateFrame>) {

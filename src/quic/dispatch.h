@@ -41,6 +41,8 @@ class DispatchDelegate {
   /// the very first packet of a peer-created path).
   virtual Path* EnsurePath(PathId id, const sim::Datagram& datagram) = 0;
   virtual void OnAckFrame(const AckFrame& ack) = 0;
+  /// The peer waits for nothing below a floor on one of its send paths.
+  virtual void OnStopWaitingFrame(const StopWaitingFrame& frame) = 0;
   /// Peer raised a send-side limit (connection or stream level).
   virtual void OnWindowUpdateFrame(const WindowUpdateFrame& frame) = 0;
   virtual void OnPathsFrame(const PathsFrame& frame) = 0;

@@ -24,6 +24,9 @@ struct ConnectionStats {
   /// ACK frames dropped because they acknowledged packet numbers this end
   /// never sent (optimistic ACK — peer protocol violation or forgery).
   std::uint64_t invalid_acks_ignored = 0;
+  /// STOP_WAITING frames dropped because their floor lay above every
+  /// packet received on that path (peer protocol violation or forgery).
+  std::uint64_t invalid_stop_waitings_ignored = 0;
   std::uint64_t duplicated_scheduler_packets = 0;
   std::uint64_t rto_events = 0;
   /// Frames from lost packets re-queued for retransmission, and their

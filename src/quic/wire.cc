@@ -197,6 +197,9 @@ std::size_t FrameWireSize(const Frame& frame) {
       return 1 + VarintSize(f.stream_id.value()) + VarintSize(f.offset.value()) +
              VarintSize(f.length.value()) + 1 + f.length.value();
     }
+    std::size_t operator()(const StopWaitingFrame& f) const {
+      return 1 + 1 + VarintSize(f.least_unacked.value());
+    }
   };
   return std::visit(Visitor{}, frame);
 }
@@ -276,6 +279,11 @@ void EncodeFrame(const Frame& frame, BufWriter& out) {
       assert(f.data.size() == f.length.value());
       EncodeStreamFrameHeader(f, out);
       out.WriteBytes(f.data);
+    }
+    void operator()(const StopWaitingFrame& f) const {
+      out.WriteU8(static_cast<std::uint8_t>(FrameType::kStopWaiting));
+      out.WriteU8(static_cast<std::uint8_t>(f.path_id.value()));
+      out.WriteVarint(f.least_unacked.value());
     }
   };
   std::visit(Visitor{out}, frame);
@@ -388,6 +396,13 @@ bool DecodeOneFrame(BufReader& in, Frame& out, AckRangeStore* spare) {
       out = f;
       return true;
     }
+    case FrameType::kStopWaiting: {
+      std::uint8_t pid = 0;
+      std::uint64_t least_unacked = 0;
+      if (!in.ReadU8(pid) || !in.ReadVarint(least_unacked)) return false;
+      out = StopWaitingFrame{PathId{pid}, PacketNumber{least_unacked}};
+      return true;
+    }
     case FrameType::kHandshake: {
       HandshakeFrame f;
       std::uint8_t message = 0;
@@ -497,6 +512,7 @@ bool DecodePayload(std::span<const std::uint8_t> payload,
 
 bool IsRetransmittable(const Frame& frame) {
   return !std::holds_alternative<AckFrame>(frame) &&
+         !std::holds_alternative<StopWaitingFrame>(frame) &&
          !std::holds_alternative<PaddingFrame>(frame);
 }
 
@@ -505,7 +521,8 @@ const char* FrameTypeName(const Frame& frame) {
   static constexpr const char* kNames[] = {
       "PADDING",     "PING",           "CONNECTION_CLOSE", "RST_STREAM",
       "WINDOW_UPDATE", "BLOCKED",      "HANDSHAKE",        "ADD_ADDRESS",
-      "REMOVE_ADDRESS", "PATHS",       "ACK",              "STREAM"};
+      "REMOVE_ADDRESS", "PATHS",       "ACK",              "STREAM",
+      "STOP_WAITING"};
   static_assert(std::size(kNames) == std::variant_size_v<Frame>);
   return kNames[frame.index()];
 }

@@ -12,6 +12,8 @@
 //   * Path ID byte in the public header (explicit path identification),
 //   * per-path packet-number spaces (PNs here are always path-relative),
 //   * ACK frames carrying the Path ID they acknowledge,
+//   * STOP_WAITING frames carrying the Path ID whose ACK history they
+//     bound (gQUIC's STOP_WAITING, per path space),
 //   * ADD_ADDRESS frame advertising a host's addresses,
 //   * PATHS frame carrying per-path status/RTT for fast failover.
 #pragma once
@@ -88,6 +90,7 @@ enum class FrameType : std::uint8_t {
   kRstStream = 0x03,
   kWindowUpdate = 0x04,
   kBlocked = 0x05,
+  kStopWaiting = 0x06,
   kHandshake = 0x07,
   kAddAddress = 0x08,
   kPaths = 0x09,
@@ -163,8 +166,8 @@ struct PathsFrame {
 
 /// ACK for one path's packet-number space. `ranges` are descending,
 /// non-adjacent [smallest, largest] closed intervals; at most
-/// kMaxAckRanges of them (vs TCP's 2-3 SACK blocks — the gap driving the
-/// lossy-scenario results, §4.1 "Low-BDP-losses").
+/// kMaxAckRanges of them on the wire. How far back they reach is bounded
+/// by the peer's STOP_WAITING, not by that limit.
 struct AckFrame {
   static constexpr std::size_t kMaxAckRanges = 256;
 
@@ -180,6 +183,15 @@ struct AckFrame {
   PacketNumber LargestAcked() const {
     return ranges.empty() ? PacketNumber{0} : ranges.front().largest;
   }
+};
+
+/// gQUIC's STOP_WAITING for one path's packet-number space: the sender
+/// no longer waits for any packet below `least_unacked` on `path_id`, so
+/// the receiver may stop reporting them in its ACK ranges. Not
+/// retransmittable: the next ACK that still reports them re-arms it.
+struct StopWaitingFrame {
+  PathId path_id{};
+  PacketNumber least_unacked{};
 };
 
 /// STREAM frame (§2). The offset alone orders the bytes, so a sender keeps
@@ -199,7 +211,7 @@ using Frame =
     std::variant<PaddingFrame, PingFrame, ConnectionCloseFrame,
                  RstStreamFrame, WindowUpdateFrame, BlockedFrame,
                  HandshakeFrame, AddAddressFrame, RemoveAddressFrame,
-                 PathsFrame, AckFrame, StreamFrame>;
+                 PathsFrame, AckFrame, StreamFrame, StopWaitingFrame>;
 
 /// Serialized size of a frame, exact (used by the packet assembler to fit
 /// frames into the MTU without trial encoding).
@@ -230,8 +242,9 @@ bool DecodePayload(std::span<const std::uint8_t> payload,
 bool DecodePayload(std::span<const std::uint8_t> payload,
                    std::vector<Frame>& out);
 
-/// True for frame types whose loss must trigger retransmission. ACK and
-/// PADDING frames are not retransmittable (QUIC rule); everything else is.
+/// True for frame types whose loss must trigger retransmission. ACK,
+/// STOP_WAITING and PADDING frames are not retransmittable (QUIC rule);
+/// everything else is.
 bool IsRetransmittable(const Frame& frame);
 
 /// Stable human-readable wire-type name ("ACK", "STREAM", ...) — used by

@@ -77,7 +77,7 @@ TEST(AllocBudget, EngineTransferTwoPath8MB) {
       golden::RunEngineTransfer({&BeginCounting, &EndCounting});
   ASSERT_TRUE(t.finished);
   ASSERT_EQ(t.received, golden::kSize);
-  ASSERT_EQ(t.client_packets, 9579u);
+  ASSERT_EQ(t.client_packets, 9580u);
   RecordProperty("allocs", static_cast<int>(g_allocs));
   RecordProperty("bytes", static_cast<int>(g_bytes));
   EXPECT_LT(g_allocs, t.client_packets) << "allocations per client packet >= 1";

@@ -42,7 +42,9 @@ struct TimedRegion {
 
 /// One 8 MB download over two 20 Mbps paths (20 and 40 ms RTT), wired
 /// through the public endpoints exactly as the engine leg runs it.
-inline EngineTransfer RunEngineTransfer(TimedRegion timed = {}) {
+/// `client_tracer`, if given, observes the client connection.
+inline EngineTransfer RunEngineTransfer(
+    TimedRegion timed = {}, quic::ConnectionTracer* client_tracer = nullptr) {
   sim::Simulator sim;
   sim::Network net(sim, Rng(12345));
   std::array<sim::PathParams, 2> params;
@@ -77,6 +79,7 @@ inline EngineTransfer RunEngineTransfer(TimedRegion timed = {}) {
   std::vector<sim::Address> client_locals(topo.client_addr.begin(),
                                           topo.client_addr.end());
   quic::ClientEndpoint client(sim, net, client_locals, config, 8);
+  if (client_tracer != nullptr) client.connection().SetTracer(client_tracer);
   EngineTransfer out;
   client.connection().SetStreamDataHandler(
       [&](StreamId, ByteCount, std::span<const std::uint8_t> data, bool fin) {

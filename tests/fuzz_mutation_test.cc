@@ -298,12 +298,14 @@ class OnPathAttacker {
     return true;
   }
 
-  void StartTransfers() {
+  /// Start one transfer each way; `tamper` turns on the in-transit
+  /// rewriting of real packets (TrackAndMaybeTamper).
+  void StartTransfers(bool tamper = true) {
     client_->SendOnStream(StreamId{3}, std::make_unique<PatternSource>(
                                            StreamId{3}, ByteCount{96 * 1024}));
     server_->SendOnStream(StreamId{4}, std::make_unique<PatternSource>(
                                            StreamId{4}, ByteCount{64 * 1024}));
-    tampering_ = true;
+    tampering_ = tamper;
   }
 
   /// One fuzz step: move the outage windows, inject one forged packet,
@@ -629,6 +631,43 @@ TEST(FuzzMutation, ForgedPathFramesAgainstFailedPathsNeverCrashConnection) {
   // packets decrypt (and get processed), some fail authentication.
   EXPECT_GT(attacker.client().stats().packets_received, 100u);
   EXPECT_GT(attacker.client().stats().packets_decrypt_failed, 0u);
+}
+
+// A keyed attacker forges STOP_WAITING floors above everything the victim
+// received on the transfer-carrying paths 0/1. Applied, such a floor would
+// turn every honest packet below it into a duplicate and stall the
+// transfer for good; the receiver must ignore it, as it ignores an ACK of
+// an unsent packet. The frames ride forged packets on attacker-created
+// path ids, so the victim's packet-number spaces on paths 0/1 stay honest.
+TEST(FuzzMutation, ForgedStopWaitingAboveLargestReceivedIsIgnored) {
+  OnPathAttacker attacker(0xF0552009);
+  ASSERT_TRUE(attacker.EstablishAndDeriveKeys());
+  attacker.StartTransfers(/*tamper=*/false);
+  Rng rng(0x5709);
+  std::uint64_t forged = 0;
+  for (int iter = 0; iter < 100; ++iter) {
+    const bool to_client = iter % 2 == 0;
+    Connection& victim = to_client ? attacker.client() : attacker.server();
+    const PathId target{static_cast<std::uint8_t>(rng.NextBounded(2))};
+    const Path* path = victim.GetPath(target);
+    if (path != nullptr) {
+      const PacketNumber floor = path->receiver().largest_received() + 2 +
+                                 PacketNumber{rng.NextBounded(1000)};
+      BufWriter payload;
+      EncodeFrame(StopWaitingFrame{target, floor}, payload);
+      attacker.Inject(to_client,
+                      PathId{static_cast<std::uint8_t>(2 + rng.NextBounded(4))},
+                      std::vector<std::uint8_t>(payload.data()),
+                      /*corrupt_after_seal=*/false);
+      ++forged;
+    }
+    attacker.sim().Run(attacker.sim().now() + 20 * kMillisecond);
+  }
+  EXPECT_GT(forged, 50u);
+  EXPECT_EQ(attacker.client().stats().invalid_stop_waitings_ignored +
+                attacker.server().stats().invalid_stop_waitings_ignored,
+            forged);
+  EXPECT_TRUE(attacker.FinishCleanly());
 }
 
 TEST(FuzzMutation, CorruptedSealedPacketsAreDroppedNotProcessed) {

@@ -305,7 +305,7 @@ TEST(Robustness, GarbageDatagramFloodDuringQuicTransfer) {
 class MapTracker {
  public:
   bool OnPacketReceived(PacketNumber pn) {
-    if (pn == 0 || AlreadyReceived(pn)) return false;
+    if (pn == 0 || pn < floor_ || AlreadyReceived(pn)) return false;
     auto it = ranges_.upper_bound(pn);
     PacketNumber start = pn;
     PacketNumber end = pn;
@@ -322,6 +322,7 @@ class MapTracker {
     }
     ranges_.emplace(start, end);
     largest_ = std::max(largest_, pn);
+    Prune();
     return true;
   }
   bool AlreadyReceived(PacketNumber pn) const {
@@ -339,12 +340,28 @@ class MapTracker {
     }
     return out;
   }
+  /// STOP_WAITING: forget the ranges wholly below the floor but the
+  /// newest; a floor above largest + 1 is refused.
+  bool OnStopWaiting(PacketNumber least_unacked) {
+    if (least_unacked > largest_ + 1) return false;
+    floor_ = std::max(floor_, least_unacked);
+    Prune();
+    return true;
+  }
   std::size_t size() const { return ranges_.size(); }
   PacketNumber largest() const { return largest_; }
 
  private:
+  /// Drop every range wholly below the floor but the newest.
+  void Prune() {
+    while (ranges_.size() > 1 && ranges_.begin()->second < floor_) {
+      ranges_.erase(ranges_.begin());
+    }
+  }
+
   std::map<PacketNumber, PacketNumber> ranges_;
   PacketNumber largest_{};
+  PacketNumber floor_{};
 };
 
 std::vector<std::pair<PacketNumber, PacketNumber>> Pairs(
@@ -396,6 +413,76 @@ TEST(PacketNumberContainers, AckTrackerMatchesMapModel) {
     }
   }
   EXPECT_GT(max_ranges, quic::AckFrame::kMaxAckRanges);  // truncation ran
+}
+
+TEST(PacketNumberContainers, AckTrackerStopWaitingMatchesMapModel) {
+  // As above, with STOP_WAITING floors in between: honest ones (at most
+  // largest + 1) and forged ones above that. A floor must leave every
+  // range reaching it untouched, keep the newest range, and make packets
+  // below it duplicates.
+  Rng rng(20261019);
+  std::size_t floors_applied = 0;
+  std::size_t floors_refused = 0;
+  for (int round = 0; round < 40; ++round) {
+    quic::ReceivedPacketTracker tracker;
+    MapTracker reference;
+    const std::uint64_t n = 200 + rng.NextBounded(2000);
+    const double drop = 0.02 * double(round % 9);
+    const std::uint64_t window = 1 + rng.NextBounded(40);
+    std::vector<PacketNumber> arrivals;
+    for (std::uint64_t pn = 1; pn <= n; ++pn) {
+      if (!rng.NextBool(drop)) arrivals.push_back(PacketNumber{pn});
+    }
+    for (std::size_t i = 0; i + 1 < arrivals.size(); ++i) {
+      const std::size_t j = i + rng.NextBounded(
+          std::min<std::uint64_t>(window, arrivals.size() - i));
+      std::swap(arrivals[i], arrivals[j]);
+    }
+    for (std::size_t i = 0; i < arrivals.size(); ++i) {
+      PacketNumber pn = arrivals[i];
+      if (rng.NextBool(0.05)) pn = arrivals[rng.NextBounded(i + 1)];
+      ASSERT_EQ(tracker.OnPacketReceived(pn, static_cast<TimePoint>(i)),
+                reference.OnPacketReceived(pn))
+          << "round " << round << " pn " << pn.value();
+      ASSERT_EQ(tracker.largest_received(), reference.largest());
+      if (i % 97 == 0) {
+        ASSERT_EQ(Pairs(tracker.BuildAckRanges()), reference.AckRanges());
+      }
+      if (!rng.NextBool(0.03)) continue;
+
+      const PacketNumber largest = tracker.largest_received();
+      const PacketNumber floor{
+          rng.NextBounded(largest.value() + 3) + 1};  // up to largest + 3
+      const auto before = Pairs(tracker.BuildAckRanges());
+      const bool applied = tracker.OnStopWaiting(floor);
+      ASSERT_EQ(applied, reference.OnStopWaiting(floor));
+      ASSERT_EQ(applied, floor <= largest + 1);
+      const auto after = Pairs(tracker.BuildAckRanges());
+      ASSERT_EQ(after, reference.AckRanges()) << "round " << round;
+      if (!applied) {
+        ++floors_refused;
+        ASSERT_EQ(after, before);
+        continue;
+      }
+      ++floors_applied;
+      ASSERT_FALSE(after.empty());
+      ASSERT_EQ(after.front(), before.front());  // the newest range stays
+      std::vector<std::pair<PacketNumber, PacketNumber>> reaching;
+      for (const auto& range : before) {
+        if (range.second >= tracker.floor()) reaching.push_back(range);
+      }
+      if (reaching.empty()) reaching.push_back(before.front());
+      ASSERT_EQ(after, reaching);
+      if (tracker.floor() > 1) {
+        const PacketNumber below{rng.NextBounded(tracker.floor().value() - 1) +
+                                 1};
+        ASSERT_FALSE(tracker.OnPacketReceived(below, 0));
+        ASSERT_FALSE(reference.OnPacketReceived(below));
+      }
+    }
+  }
+  EXPECT_GT(floors_applied, 100u);
+  EXPECT_GT(floors_refused, 0u);
 }
 
 /// The ordered map Path used to track sent packets in, with the loss

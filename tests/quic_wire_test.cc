@@ -312,6 +312,18 @@ TEST(Frames, PingAndBlockedRoundTrip) {
   EXPECT_EQ(std::get<BlockedFrame>(RoundTrip(b)).stream_id, 4u);
 }
 
+TEST(Frames, StopWaitingRoundTrip) {
+  for (const std::uint64_t least_unacked : {1ULL, 300ULL, 1ULL << 40}) {
+    const StopWaitingFrame f{PathId{2}, PacketNumber{least_unacked}};
+    const auto out = std::get<StopWaitingFrame>(RoundTrip(f));
+    EXPECT_EQ(out.path_id, 2u);
+    EXPECT_EQ(out.least_unacked, least_unacked);
+  }
+  EXPECT_STREQ(FrameTypeName(Frame{StopWaitingFrame{}}), "STOP_WAITING");
+  // Not retransmittable, so a packet of ACK + STOP_WAITING is ack-only.
+  EXPECT_FALSE(IsRetransmittable(Frame{StopWaitingFrame{}}));
+}
+
 TEST(Frames, PayloadWithTrailingPadding) {
   BufWriter w;
   EncodeFrame(PingFrame{}, w);

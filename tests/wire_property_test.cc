@@ -17,7 +17,7 @@ namespace {
 /// as long as `payloads` does.
 Frame RandomFrame(Rng& rng,
                   std::deque<std::vector<std::uint8_t>>& payloads) {
-  switch (rng.NextBounded(9)) {
+  switch (rng.NextBounded(10)) {
     case 0: {
       StreamFrame f;
       f.stream_id = static_cast<StreamId>(rng.NextBounded(1000) + 1);
@@ -91,6 +91,9 @@ Frame RandomFrame(Rng& rng,
       f.final_offset = ByteCount{rng.NextBounded(1ULL << 40)};
       return f;
     }
+    case 8:
+      return StopWaitingFrame{static_cast<PathId>(rng.NextBounded(8)),
+                              PacketNumber{rng.NextBounded(1ULL << 40) + 1}};
     default: {
       BlockedFrame f;
       f.stream_id = static_cast<StreamId>(rng.NextBounded(100));
@@ -120,6 +123,24 @@ TEST(WireProperty, RandomFrameRoundTripIdentity) {
     ASSERT_TRUE(DecodeFrame(reader, decoded)) << "iter " << iter;
     ASSERT_TRUE(reader.AtEnd()) << "iter " << iter;
     ASSERT_TRUE(FramesEqual(original, decoded)) << "iter " << iter;
+  }
+}
+
+// Every strict prefix of an encoded frame is malformed: a packet cut short
+// fails to decode rather than yielding a shorter frame.
+TEST(WireProperty, TruncatedFramesRejected) {
+  Rng rng(20260301);
+  for (int iter = 0; iter < 2000; ++iter) {
+    std::deque<std::vector<std::uint8_t>> payloads;
+    const Frame original = RandomFrame(rng, payloads);
+    BufWriter writer;
+    EncodeFrame(original, writer);
+    const std::size_t cut = rng.NextBounded(writer.size());
+    BufReader reader(writer.span().subspan(0, cut));
+    Frame decoded;
+    ASSERT_FALSE(DecodeFrame(reader, decoded))
+        << "iter " << iter << ": " << FrameTypeName(original) << " cut to "
+        << cut << " of " << writer.size() << " bytes";
   }
 }
 

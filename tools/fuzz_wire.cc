@@ -122,6 +122,16 @@ void WriteSeeds(const fs::path& dir) {
     EncodeFrame(frame, writer);
     write("ack", writer);
   }
+  {  // STOP_WAITING for path 1, after the ACK it answers.
+    BufWriter writer;
+    AckFrame ack;
+    ack.path_id = PathId{1};
+    ack.ranges.push_back({PacketNumber{300}, PacketNumber{310}});
+    ack.ranges.push_back({PacketNumber{280}, PacketNumber{290}});
+    EncodeFrame(ack, writer);
+    EncodeFrame(StopWaitingFrame{PathId{1}, PacketNumber{295}}, writer);
+    write("stop_waiting", writer);
+  }
   {  // Flow control trio as one payload: WINDOW_UPDATE, BLOCKED, PING.
     BufWriter writer;
     WindowUpdateFrame wu;
