@@ -120,7 +120,8 @@ void BM_TcpSegmentEncodeDecode(benchmark::State& state) {
   segment.window = 16 << 20;
   segment.sacks = {{100, 1500}, {3000, 4400}, {8000, 9400}};
   segment.dss = mpq::tcp::DssMapping{1 << 21};
-  segment.payload.assign(1400, 5);
+  const std::vector<std::uint8_t> payload(1400, 5);
+  segment.payload = payload;
   for (auto _ : state) {
     BufWriter w(1500);
     EncodeSegment(segment, w);

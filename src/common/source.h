@@ -28,6 +28,12 @@ class SendSource {
 /// without the sender storing the file.
 std::uint8_t PatternByte(std::uint32_t id, ByteCount offset);
 
+/// How many bytes of `data` differ from the pattern of stream `id` at
+/// [offset, offset + data.size()): exactly what comparing each byte with
+/// PatternByte counts, at the cost of a bulk fill and a memcmp.
+std::size_t CountPatternMismatches(std::uint32_t id, ByteCount offset,
+                                   std::span<const std::uint8_t> data);
+
 class PatternSource final : public SendSource {
  public:
   PatternSource(std::uint32_t id, ByteCount size) : id_(id), size_(size) {}

@@ -487,11 +487,7 @@ struct QuicWorld {
     client->connection().SetStreamDataHandler(
         [this](StreamId, ByteCount offset, std::span<const std::uint8_t> data,
                bool fin) {
-          for (std::size_t i = 0; i < data.size(); ++i) {
-            if (data[i] != PatternByte(kDataStream.value(), offset + i)) {
-              ++errors;
-            }
-          }
+          errors += CountPatternMismatches(kDataStream.value(), offset, data);
           received += data.size();
           if (fin) finished = true;
         });

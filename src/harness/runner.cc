@@ -160,9 +160,8 @@ TransferResult RunQuicTransfer(bool multipath,
   client.connection().SetStreamDataHandler(
       [&](StreamId, ByteCount offset, std::span<const std::uint8_t> data,
           bool fin) {
-        for (std::size_t i = 0; i < data.size(); ++i) {
-          if (data[i] != PatternByte(kQuicDataStream.value(), offset + i)) ++errors;
-        }
+        errors +=
+            CountPatternMismatches(kQuicDataStream.value(), offset, data);
         received += data.size();
         if (fin) {
           finished = true;
@@ -269,9 +268,7 @@ TransferResult RunTcpTransfer(bool multipath,
   TimePoint finish_time = 0;
   client.connection().SetAppDataHandler(
       [&](ByteCount offset, std::span<const std::uint8_t> data, bool eof) {
-        for (std::size_t i = 0; i < data.size(); ++i) {
-          if (data[i] != PatternByte(kTcpAppPattern, offset + i)) ++errors;
-        }
+        errors += CountPatternMismatches(kTcpAppPattern, offset, data);
         received += data.size();
         if (eof) {
           finished = true;

@@ -312,12 +312,15 @@ void TcpConnection::OnSubflowTimeout(Subflow& subflow,
   TrySend();
 }
 
-void TcpConnection::EmitSegment(Subflow& subflow, TcpSegment&& segment) {
+void TcpConnection::EmitSegment(Subflow& subflow, const TcpSegment& segment,
+                                std::uint64_t dsn, std::size_t payload_size) {
   ++stats_.segments_sent;
   // Encoded into a buffer from the simulator's free list; the network
   // returns it there once the datagram is delivered or dropped.
-  BufWriter writer(sim_.TakeBuffer(), SegmentWireSize(segment));
-  EncodeSegment(segment, writer);
+  BufWriter writer(sim_.TakeBuffer(),
+                   SegmentHeaderSize(segment) + payload_size);
+  EncodeSegmentHeader(segment, payload_size, writer);
+  ReadStream(dsn, writer.AppendSpan(payload_size));
   send_(subflow.local_address(), subflow.remote_address(), writer.Take());
 }
 
@@ -333,10 +336,16 @@ void TcpConnection::OnSubflowDataDelivered(Subflow&, std::uint64_t dsn,
   }
   const std::uint64_t end = dsn + data.size();
   if (end > delivered_dsn_ && !data.empty()) {
-    const std::uint64_t start = std::max<std::uint64_t>(dsn, delivered_dsn_);
-    const std::size_t skip = start - dsn;
-    reassembly_.emplace(
-        start, std::vector<std::uint8_t>(data.begin() + skip, data.end()));
+    if (dsn <= delivered_dsn_) {
+      // Every buffered segment starts above delivered_dsn_ (the drain
+      // below leaves none at or under it), so these bytes are next.
+      DeliverDsnData(delivered_dsn_, data.subspan(delivered_dsn_ - dsn),
+                     false);
+      delivered_dsn_ = end;
+    } else {
+      reassembly_.emplace(dsn,
+                          std::vector<std::uint8_t>(data.begin(), data.end()));
+    }
   }
   DrainReassembly();
 }

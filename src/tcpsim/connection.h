@@ -116,10 +116,10 @@ class TcpConnection : public SubflowHost {
   void OnSubflowCanSend() override;
   void OnSubflowTimeout(Subflow& subflow,
                         std::vector<DsnRange> outstanding) override;
-  void ReadStream(std::uint64_t dsn, std::span<std::uint8_t> out) override;
   std::uint64_t AdvertisedWindow() override { return config_.receive_window.value(); }
   std::uint64_t ConnectionDataAck() override { return delivered_dsn_; }
-  void EmitSegment(Subflow& subflow, TcpSegment&& segment) override;
+  void EmitSegment(Subflow& subflow, const TcpSegment& segment,
+                   std::uint64_t dsn, std::size_t payload_size) override;
 
  private:
   // -- send-side stream ---------------------------------------------------
@@ -130,6 +130,8 @@ class TcpConnection : public SubflowHost {
   void AppendToStream(std::unique_ptr<SendSource> source);
   std::uint64_t stream_end() const;
   bool StreamFinKnown() const { return fin_requested_; }
+  /// Read connection-stream bytes for (re)transmission.
+  void ReadStream(std::uint64_t dsn, std::span<std::uint8_t> out);
 
   // -- TLS state machine (driven by delivered byte counts) ----------------
   void AdvanceTls();
@@ -175,7 +177,8 @@ class TcpConnection : public SubflowHost {
   std::uint64_t peer_window_right_edge_ = 0;
   sim::Timer persist_timer_;
 
-  // Receive side.
+  // Receive side. Only data that arrives ahead of delivered_dsn_ is
+  // copied here; in-order bytes go straight to the application.
   std::map<std::uint64_t, std::vector<std::uint8_t>> reassembly_;  // by dsn
   std::uint64_t delivered_dsn_ = 0;
   bool data_fin_known_ = false;

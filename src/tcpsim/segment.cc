@@ -2,7 +2,7 @@
 
 namespace mpq::tcp {
 
-std::size_t SegmentWireSize(const TcpSegment& segment) {
+std::size_t SegmentHeaderSize(const TcpSegment& segment) {
   // cid(8) + subflow(1) + flags(1) + seq(4) + ack(4) + window(3 varint
   // typical) + data_ack + sack count + blocks + dss + payload length.
   std::size_t size = 8 + 1 + 1 + 4 + 4;
@@ -14,11 +14,12 @@ std::size_t SegmentWireSize(const TcpSegment& segment) {
   }
   size += 1;  // DSS presence byte
   if (segment.dss.has_value()) size += 8;
-  size += 2 + segment.payload.size();
+  size += 2;  // payload length
   return size;
 }
 
-void EncodeSegment(const TcpSegment& segment, BufWriter& out) {
+void EncodeSegmentHeader(const TcpSegment& segment, std::size_t payload_size,
+                         BufWriter& out) {
   out.WriteU64(segment.cid);
   out.WriteU8(segment.subflow);
   out.WriteU8(segment.flags);
@@ -33,7 +34,11 @@ void EncodeSegment(const TcpSegment& segment, BufWriter& out) {
   }
   out.WriteU8(segment.dss.has_value() ? 1 : 0);
   if (segment.dss.has_value()) out.WriteU64(segment.dss->dsn);
-  out.WriteU16(static_cast<std::uint16_t>(segment.payload.size()));
+  out.WriteU16(static_cast<std::uint16_t>(payload_size));
+}
+
+void EncodeSegment(const TcpSegment& segment, BufWriter& out) {
+  EncodeSegmentHeader(segment, segment.payload.size(), out);
   out.WriteBytes(segment.payload);
 }
 
@@ -66,7 +71,7 @@ bool DecodeSegment(BufReader& in, TcpSegment& out) {
   }
   std::uint16_t len = 0;
   if (!in.ReadU16(len)) return false;
-  return in.ReadBytes(len, out.payload);
+  return in.ReadSpan(len, out.payload);
 }
 
 }  // namespace mpq::tcp

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/buf.h"
@@ -53,14 +54,24 @@ struct TcpSegment {
   std::uint64_t data_ack = 0;  // connection-level cumulative ACK (MPTCP)
   std::vector<SackBlock> sacks;
   std::optional<DssMapping> dss;
-  std::vector<std::uint8_t> payload;
+  /// A decoded segment's payload views the datagram it came from and
+  /// lives as long as that datagram. A sender leaves it empty and writes
+  /// its payload into the datagram itself, after EncodeSegmentHeader.
+  std::span<const std::uint8_t> payload;
 
   bool has(SegmentFlags f) const { return (flags & f) != 0; }
 };
 
-/// Exact serialized size (the simulator charges this + IP overhead).
-std::size_t SegmentWireSize(const TcpSegment& segment);
+/// Serialized size of everything before the payload bytes; with the
+/// payload, the exact size the simulator charges (plus IP overhead).
+std::size_t SegmentHeaderSize(const TcpSegment& segment);
 
+/// Writes everything before the payload of a segment that carries
+/// `payload_size` bytes; the caller appends exactly that many next.
+void EncodeSegmentHeader(const TcpSegment& segment, std::size_t payload_size,
+                         BufWriter& out);
+
+/// The header, then `segment.payload`.
 void EncodeSegment(const TcpSegment& segment, BufWriter& out);
 
 /// Returns false on malformed input.

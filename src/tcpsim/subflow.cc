@@ -58,10 +58,11 @@ TcpSegment Subflow::MakeSegment(std::uint8_t flags) const {
   return segment;
 }
 
-void Subflow::Transmit(TcpSegment&& segment) {
-  bytes_sent_ += SegmentWireSize(segment);
+void Subflow::Transmit(const TcpSegment& segment, std::uint64_t dsn,
+                       std::size_t payload_size) {
+  bytes_sent_ += SegmentHeaderSize(segment) + payload_size;
   last_send_time_ = sim_.now();
-  host_.EmitSegment(*this, std::move(segment));
+  host_.EmitSegment(*this, segment, dsn, payload_size);
 }
 
 // ---------------------------------------------------------------------------
@@ -79,7 +80,7 @@ void Subflow::SendSyn() {
   TcpSegment syn = MakeSegment(kFlagSyn);
   syn.seq = 0;
   if (mp_join_) syn.flags |= kFlagMpJoin;
-  Transmit(std::move(syn));
+  Transmit(syn);
   rto_timer_.SetIn(CurrentRto());
 }
 
@@ -87,7 +88,7 @@ void Subflow::SendSynAck() {
   TcpSegment synack = MakeSegment(kFlagSyn | kFlagAck);
   synack.seq = 0;
   snd_nxt_ = 1;
-  Transmit(std::move(synack));
+  Transmit(synack);
   rto_timer_.SetIn(CurrentRto());
 }
 
@@ -154,8 +155,6 @@ void Subflow::SendMappedData(std::uint64_t dsn, ByteCount length,
                              bool data_fin) {
   TcpSegment segment = MakeSegment(kFlagAck);
   segment.seq = snd_nxt_;
-  segment.payload.resize(length.value());
-  host_.ReadStream(dsn, segment.payload);
   if (config_.multipath) segment.dss = DssMapping{dsn};
   if (data_fin) segment.flags |= kFlagDataFin;
 
@@ -175,7 +174,7 @@ void Subflow::SendMappedData(std::uint64_t dsn, ByteCount length,
 
   congestion_->OnPacketSent(sim_.now(), length);
   snd_nxt_ += length.value();
-  Transmit(std::move(segment));
+  Transmit(segment, dsn, length.value());
   // RFC 6298 (5.1): start the timer on send only if it is not running —
   // restarting per send would keep postponing a pending stall's RTO.
   if (!rto_timer_.armed()) rto_timer_.SetIn(CurrentRto());
@@ -189,8 +188,6 @@ void Subflow::RetransmitSegment(std::uint64_t seq) {
 
   TcpSegment segment = MakeSegment(kFlagAck);
   segment.seq = seq;
-  segment.payload.resize(info.length.value());
-  host_.ReadStream(info.dsn, segment.payload);
   if (config_.multipath) segment.dss = DssMapping{info.dsn};
   if (info.data_fin) segment.flags |= kFlagDataFin;
 
@@ -208,7 +205,7 @@ void Subflow::RetransmitSegment(std::uint64_t seq) {
   info.needs_retransmit = false;
   info.sent_time = sim_.now();
   ++retransmit_count_;
-  Transmit(std::move(segment));
+  Transmit(segment, info.dsn, info.length.value());
   if (!rto_timer_.armed()) rto_timer_.SetIn(CurrentRto());
 }
 
@@ -446,7 +443,7 @@ void Subflow::ProcessPayload(const TcpSegment& segment) {
 
   if (seq > rcv_nxt_) {
     OooSegment ooo;
-    ooo.data = segment.payload;
+    ooo.data.assign(segment.payload.begin(), segment.payload.end());
     ooo.dsn = dsn;
     ooo.data_fin = segment.has(kFlagDataFin);
     ooo_.emplace(seq, std::move(ooo));
@@ -457,8 +454,7 @@ void Subflow::ProcessPayload(const TcpSegment& segment) {
 
   // In-order (possibly overlapping the delivered prefix).
   const std::size_t skip = rcv_nxt_ - seq;
-  std::span<const std::uint8_t> fresh(segment.payload.data() + skip,
-                                      segment.payload.size() - skip);
+  const std::span<const std::uint8_t> fresh = segment.payload.subspan(skip);
   // RFC 5681: ack immediately when a segment fills (part of) a gap, so
   // the sender's recovery sees the partial-ack progress at once.
   const bool fills_gap = !ooo_.empty();
@@ -533,8 +529,7 @@ void Subflow::SendPureAck() {
   if (state_ != State::kEstablished) return;
   unacked_arrivals_ = 0;
   delack_timer_.Cancel();
-  TcpSegment ack = MakeSegment(kFlagAck);
-  Transmit(std::move(ack));
+  Transmit(MakeSegment(kFlagAck));
 }
 
 // ---------------------------------------------------------------------------

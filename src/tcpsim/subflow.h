@@ -89,14 +89,14 @@ class SubflowHost {
   /// subflow — MPTCP reinjects them on other subflows (§4.3 handover).
   virtual void OnSubflowTimeout(Subflow& subflow,
                                 std::vector<DsnRange> outstanding) = 0;
-  /// Read connection-stream bytes for (re)transmission.
-  virtual void ReadStream(std::uint64_t dsn,
-                          std::span<std::uint8_t> out) = 0;
   /// Values for outgoing segments.
   virtual std::uint64_t AdvertisedWindow() = 0;
   virtual std::uint64_t ConnectionDataAck() = 0;
-  /// Hand a fully built segment to the socket layer.
-  virtual void EmitSegment(Subflow& subflow, TcpSegment&& segment) = 0;
+  /// Hand a segment to the socket layer. Its payload is the
+  /// `payload_size` connection-stream bytes from `dsn`, read straight
+  /// into the datagram after `segment`'s header is encoded.
+  virtual void EmitSegment(Subflow& subflow, const TcpSegment& segment,
+                           std::uint64_t dsn, std::size_t payload_size) = 0;
 };
 
 struct SubflowConfig {
@@ -178,7 +178,9 @@ class Subflow {
   };
 
   TcpSegment MakeSegment(std::uint8_t flags) const;
-  void Transmit(TcpSegment&& segment);
+  /// Send `segment` with `payload_size` stream bytes from `dsn`.
+  void Transmit(const TcpSegment& segment, std::uint64_t dsn = 0,
+                std::size_t payload_size = 0);
   void SendSyn();
   void SendSynAck();
   void BecomeEstablished();

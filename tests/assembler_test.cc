@@ -341,11 +341,9 @@ std::vector<SentStreamData> LastPacketStreamData(Harness& h) {
 
 void ExpectPatternBytes(const SentStreamData& sent) {
   ASSERT_EQ(sent.bytes.size(), sent.frame.length.value());
-  for (std::size_t i = 0; i < sent.bytes.size(); ++i) {
-    ASSERT_EQ(sent.bytes[i],
-              PatternByte(sent.frame.stream_id.value(), sent.frame.offset + i))
-        << "byte " << i;
-  }
+  EXPECT_EQ(CountPatternMismatches(sent.frame.stream_id.value(),
+                                   sent.frame.offset, sent.bytes),
+            0u);
 }
 
 TEST(StreamByReference, LostFrameResentOnOtherPathRereadsSource) {
@@ -383,9 +381,7 @@ TEST(StreamByReference, LostFrameResentOnOtherPathRereadsSource) {
   view.data = resent.front().bytes;
   receiver.OnStreamFrame(view);
   ASSERT_EQ(delivered.size(), resent.front().frame.length.value());
-  for (std::size_t i = 0; i < delivered.size(); ++i) {
-    ASSERT_EQ(delivered[i], PatternByte(5, ByteCount{i})) << "byte " << i;
-  }
+  EXPECT_EQ(CountPatternMismatches(5, ByteCount{0}, delivered), 0u);
 }
 
 TEST(StreamByReference, DuplicateEncodesSameBytes) {

@@ -1,7 +1,9 @@
 // Unit tests for the common toolkit: codecs, RNG determinism, statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/buf.h"
@@ -204,6 +206,90 @@ TEST(PatternSource, BulkReadMatchesPatternByte) {
     buffer.Read(ByteCount{start}, from_buffer);
     PatternSource(id, ByteCount{len}).Read(ByteCount{start}, from_pattern);
     ASSERT_EQ(from_buffer, from_pattern) << "iter " << iter;
+  }
+}
+
+// The per-byte reference the bulk checker must agree with.
+std::size_t CountMismatchesPerByte(std::uint32_t id, ByteCount offset,
+                                   std::span<const std::uint8_t> data) {
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    if (data[i] != PatternByte(id, offset + i)) ++mismatches;
+  }
+  return mismatches;
+}
+
+// A random id, length in [0, 4096] and offset: one in three offsets sits
+// just below a multiple of 2^32, so the low 32 bits of the offset wrap
+// inside the first blocks of the span.
+struct CheckerCase {
+  std::uint32_t id = 0;
+  ByteCount offset{};
+  std::vector<std::uint8_t> data;
+};
+CheckerCase RandomCheckerCase(Rng& rng, int iter) {
+  static constexpr std::uint32_t kIds[] = {0, 3, 0x715, 0xFFFFFFFF};
+  CheckerCase c;
+  c.id = iter % 5 < 4 ? kIds[iter % 5]
+                      : static_cast<std::uint32_t>(rng.NextU64());
+  const std::size_t len = iter < 32 ? static_cast<std::size_t>(iter)
+                          : iter == 32 ? 4096
+                                       : rng.NextBounded(4097);
+  c.offset = ByteCount{rng.NextBounded(1ULL << 40)};
+  if (iter % 3 == 0) {
+    c.offset = ByteCount{((1 + rng.NextBounded(4)) << 32) -
+                         rng.NextBounded(64)};
+  }
+  c.data.resize(len);
+  PatternSource(c.id, c.offset + len).Read(c.offset, c.data);
+  return c;
+}
+
+TEST(PatternChecker, AgreesWithPerByteReference) {
+  Rng rng(0xC4EC);
+  for (int iter = 0; iter < 400; ++iter) {
+    CheckerCase c = RandomCheckerCase(rng, iter);
+    ASSERT_EQ(CountPatternMismatches(c.id, c.offset, c.data), 0u)
+        << "iter " << iter;
+    // Overwrite a random share of the bytes with random values (some of
+    // which happen to match the pattern) and compare the counts.
+    const std::uint64_t share = rng.NextBounded(4);
+    for (auto& byte : c.data) {
+      if (rng.NextBounded(4) < share) {
+        byte = static_cast<std::uint8_t>(rng.NextU64());
+      }
+    }
+    ASSERT_EQ(CountPatternMismatches(c.id, c.offset, c.data),
+              CountMismatchesPerByte(c.id, c.offset, c.data))
+        << "iter " << iter;
+  }
+}
+
+TEST(PatternChecker, CountsEveryCorruptedByte) {
+  // k distinct bytes flipped to another value give exactly k, wherever
+  // they sit: every chunk, not only the first that differs, and the
+  // tail past the last whole chunk (the last byte is always among them
+  // in every other case).
+  Rng rng(0xBADB17E);
+  for (int iter = 0; iter < 400; ++iter) {
+    CheckerCase c = RandomCheckerCase(rng, iter);
+    const std::size_t len = c.data.size();
+    std::vector<std::size_t> positions(len);
+    for (std::size_t i = 0; i < len; ++i) positions[i] = i;
+    const std::size_t k = len == 0 ? 0 : 1 + rng.NextBounded(len);
+    for (std::size_t i = 0; i < k; ++i) {
+      std::swap(positions[i], positions[i + rng.NextBounded(len - i)]);
+    }
+    if (iter % 2 == 0 && k > 0) {
+      const auto last = std::find(positions.begin(), positions.end(), len - 1);
+      std::swap(positions[0], *last);
+    }
+    for (std::size_t i = 0; i < k; ++i) {
+      c.data[positions[i]] ^= static_cast<std::uint8_t>(
+          1 + rng.NextBounded(255));
+    }
+    ASSERT_EQ(CountPatternMismatches(c.id, c.offset, c.data), k)
+        << "iter " << iter << " len " << len;
   }
 }
 

@@ -74,9 +74,7 @@ TEST(MultiConnection, QuicServerHandlesManyClients) {
     clients[i]->connection().SetStreamDataHandler(
         [&, i](StreamId id, ByteCount offset,
                std::span<const std::uint8_t> data, bool fin) {
-          for (std::size_t k = 0; k < data.size(); ++k) {
-            if (data[k] != PatternByte(id.value(), offset + k)) ++errors[i];
-          }
+          errors[i] += CountPatternMismatches(id.value(), offset, data);
           received[i] += data.size();
           if (fin) ++finished;
         });

@@ -248,9 +248,7 @@ TEST(Robustness, GarbageDatagramFloodDuringQuicTransfer) {
   client.connection().SetStreamDataHandler(
       [&](StreamId id, ByteCount offset, std::span<const std::uint8_t> data,
           bool fin) {
-        for (std::size_t i = 0; i < data.size(); ++i) {
-          if (data[i] != PatternByte(id.value(), offset + i)) ++errors;
-        }
+        errors += CountPatternMismatches(id.value(), offset, data);
         received += data.size();
         if (fin) finished = true;
       });

@@ -64,11 +64,8 @@ struct TestApp {
     client->connection().SetStreamDataHandler(
         [this](StreamId, ByteCount offset,
                std::span<const std::uint8_t> data, bool fin) {
-          for (std::size_t i = 0; i < data.size(); ++i) {
-            if (data[i] != PatternByte(kDataStream.value(), offset + i)) {
-              ++pattern_errors;
-            }
-          }
+          pattern_errors +=
+              CountPatternMismatches(kDataStream.value(), offset, data);
           bytes_received += data.size();
           if (fin) {
             finished = true;

@@ -1,8 +1,11 @@
 // End-to-end tests of the TCP/MPTCP baseline over the simulated two-path
 // network: HTTPS-style downloads (3-RTT setup), data integrity, MPTCP
-// aggregation, subflow join latency, ORP, and failover reinjection.
+// aggregation, subflow join latency, ORP, failover reinjection, and
+// reassembly under reordering, duplication and overlap.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <memory>
 #include <string>
 
@@ -10,6 +13,7 @@
 #include "sim/net.h"
 #include "sim/simulator.h"
 #include "sim/topology.h"
+#include "tcpsim/connection.h"
 #include "tcpsim/endpoint.h"
 
 namespace mpq::tcp {
@@ -61,11 +65,7 @@ struct TcpTestApp {
     client->connection().SetAppDataHandler(
         [this](ByteCount offset, std::span<const std::uint8_t> data,
                bool eof) {
-          for (std::size_t i = 0; i < data.size(); ++i) {
-            if (data[i] != PatternByte(kAppPattern, offset + i)) {
-              ++pattern_errors;
-            }
-          }
+          pattern_errors += CountPatternMismatches(kAppPattern, offset, data);
           bytes_received += data.size();
           if (eof) {
             finished = true;
@@ -219,6 +219,151 @@ TEST(TcpIntegration, AsymmetricPathsNoCorruption) {
   app.Run(ByteCount{2 * 1024 * 1024});
   ASSERT_TRUE(app.finished);
   EXPECT_EQ(app.pattern_errors, 0u);
+}
+
+// Records each subflow-in-order delivery and where it fell against the
+// connection's delivered prefix: wholly below it (a duplicate), reaching
+// past it (handed on at once, from the middle if it overlaps), or past
+// its end (out of order, so buffered until the gap fills).
+class RecordingConnection : public TcpConnection {
+ public:
+  using TcpConnection::TcpConnection;
+
+  struct Piece {
+    std::uint64_t start = 0;
+    std::uint64_t end = 0;
+    std::uint8_t subflow = 0;
+  };
+  std::vector<Piece> pieces;
+  int duplicates = 0;
+  int in_order = 0;
+  int ahead = 0;
+
+  void OnSubflowDataDelivered(Subflow& subflow, std::uint64_t dsn,
+                              std::span<const std::uint8_t> data,
+                              bool data_fin) override {
+    const std::uint64_t delivered = ConnectionDataAck();
+    if (!data.empty()) {
+      pieces.push_back({dsn, dsn + data.size(), subflow.id()});
+      if (dsn + data.size() <= delivered) {
+        ++duplicates;
+      } else if (dsn <= delivered) {
+        ++in_order;
+      } else {
+        ++ahead;
+      }
+    }
+    TcpConnection::OnSubflowDataDelivered(subflow, dsn, data, data_fin);
+  }
+
+  /// Pairs of pieces from different subflows whose ranges overlap without
+  /// being equal: a mapping reinjected across boundaries of the first.
+  int CrossSubflowOverlaps() const {
+    std::vector<Piece> sorted = pieces;
+    std::sort(sorted.begin(), sorted.end(), [](const Piece& a, const Piece& b) {
+      return a.start < b.start;
+    });
+    int overlaps = 0;
+    for (std::size_t i = 0; i < sorted.size(); ++i) {
+      for (std::size_t j = i + 1;
+           j < sorted.size() && sorted[j].start < sorted[i].end; ++j) {
+        if (sorted[i].subflow != sorted[j].subflow &&
+            (sorted[i].start != sorted[j].start ||
+             sorted[i].end != sorted[j].end)) {
+          ++overlaps;
+        }
+      }
+    }
+    return overlaps;
+  }
+};
+
+TEST(TcpIntegration, MptcpReassemblyUnderReorderDuplicationAndOverlap) {
+  // Two MPTCP connections joined by a wire that delays each datagram by
+  // its path's base delay plus up to 25 ms of jitter (reordering), sends
+  // one in ten twice and drops one in a hundred. Drops bring
+  // retransmissions, and RTOs and ORP reinject DSN ranges on the other
+  // subflow, whose mapping boundaries need not match the first copy's.
+  // The application must see exactly the pattern bytes, once, in order.
+  constexpr std::uint64_t kCid = 0x5EED;
+  const ByteCount size{768 * 1024};
+  // A receive window that is not a whole number of segments: segments cut
+  // at its edge shift every later mapping boundary, and the sender stalls
+  // on it, so ORP reinjects an MSS from the blocking DSN across them.
+  TcpConfig config = Mptcp();
+  config.receive_window = ByteCount{10 * 1000};
+  sim::Simulator sim;
+  Rng rng(1);
+  std::unique_ptr<RecordingConnection> client;
+  std::unique_ptr<TcpConnection> server;
+  int duplicated = 0;
+  auto wire = [&](bool to_server) {
+    return [&, to_server](sim::Address local, sim::Address remote,
+                          std::vector<std::uint8_t> bytes) {
+      if (rng.NextBounded(100) == 0) {
+        sim.ReturnBuffer(std::move(bytes));
+        return;
+      }
+      const sim::Datagram datagram{local, remote, std::move(bytes)};
+      const int copies = rng.NextBounded(10) == 0 ? 2 : 1;
+      duplicated += copies - 1;
+      for (int i = 0; i < copies; ++i) {
+        const Duration delay = (local.iface == 0 ? 10 : 30) * kMillisecond +
+                               static_cast<Duration>(
+                                   rng.NextBounded(25 * kMillisecond));
+        sim.Schedule(delay, [&, to_server, datagram] {
+          BufReader reader(datagram.payload);
+          TcpSegment segment;
+          ASSERT_TRUE(DecodeSegment(reader, segment));
+          TcpConnection& to =
+              to_server ? *server : static_cast<TcpConnection&>(*client);
+          to.OnSegment(segment, datagram);
+        });
+      }
+    };
+  };
+  const std::vector<sim::Address> client_addrs = {{1, 0}, {1, 1}};
+  const std::vector<sim::Address> server_addrs = {{2, 0}, {2, 1}};
+  server = std::make_unique<TcpConnection>(sim, TcpPerspective::kServer, kCid,
+                                           config, wire(false));
+  server->SetLocalAddresses(server_addrs);
+  server->SetAppDataHandler(
+      [&](ByteCount, std::span<const std::uint8_t> request, bool) {
+        if (!request.empty() && request.back() == '\n') {
+          server->SendAppData(
+              std::make_unique<PatternSource>(kAppPattern, size));
+        }
+      });
+  client = std::make_unique<RecordingConnection>(
+      sim, TcpPerspective::kClient, kCid, config, wire(true));
+  ByteCount received{};
+  ByteCount pattern_errors{};
+  bool finished = false;
+  client->SetAppDataHandler(
+      [&](ByteCount offset, std::span<const std::uint8_t> data, bool eof) {
+        EXPECT_EQ(offset, received);
+        pattern_errors += CountPatternMismatches(kAppPattern, offset, data);
+        received += data.size();
+        if (eof) finished = true;
+      });
+  client->SetSecureEstablishedHandler([&] {
+    client->SendAppData(std::make_unique<BufferSource>(
+        std::vector<std::uint8_t>{'G', 'E', 'T', '\n'}));
+  });
+  client->Connect(client_addrs, server_addrs);
+  while (!finished && sim.RunOne(120 * kSecond)) {
+  }
+
+  ASSERT_TRUE(finished);
+  EXPECT_EQ(received, size);
+  EXPECT_EQ(pattern_errors, 0u);
+  EXPECT_GT(duplicated, 0);
+  // Both receive paths ran: in-order bytes straight to the application,
+  // and out-of-order ones through the reassembly buffer.
+  EXPECT_GT(client->in_order, 0);
+  EXPECT_GT(client->ahead, 0);
+  EXPECT_GT(client->duplicates, 0);
+  EXPECT_GT(client->CrossSubflowOverlaps(), 0);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // driven through a loopback harness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -22,10 +23,11 @@ TEST(Segment, RoundTripPlain) {
   s.ack = 2000;
   s.window = 16 * 1024 * 1024;
   s.data_ack = 555;
-  s.payload = {1, 2, 3};
+  const std::vector<std::uint8_t> payload = {1, 2, 3};
+  s.payload = payload;
   BufWriter w;
   EncodeSegment(s, w);
-  EXPECT_EQ(w.size(), SegmentWireSize(s));
+  EXPECT_EQ(w.size(), SegmentHeaderSize(s) + payload.size());
   BufReader r(w.span());
   TcpSegment out;
   ASSERT_TRUE(DecodeSegment(r, out));
@@ -35,7 +37,7 @@ TEST(Segment, RoundTripPlain) {
   EXPECT_EQ(out.ack, 2000u);
   EXPECT_EQ(out.window, s.window);
   EXPECT_EQ(out.data_ack, 555u);
-  EXPECT_EQ(out.payload, s.payload);
+  EXPECT_TRUE(std::ranges::equal(out.payload, payload));
   EXPECT_FALSE(out.dss.has_value());
 }
 
@@ -44,10 +46,11 @@ TEST(Segment, RoundTripWithSackAndDss) {
   s.flags = kFlagAck | kFlagDataFin;
   s.sacks = {{100, 200}, {300, 350}, {500, 501}};
   s.dss = DssMapping{987654321};
-  s.payload.assign(1400, 7);
+  const std::vector<std::uint8_t> payload(1400, 7);
+  s.payload = payload;
   BufWriter w;
   EncodeSegment(s, w);
-  EXPECT_EQ(w.size(), SegmentWireSize(s));
+  EXPECT_EQ(w.size(), SegmentHeaderSize(s) + payload.size());
   BufReader r(w.span());
   TcpSegment out;
   ASSERT_TRUE(DecodeSegment(r, out));
@@ -57,12 +60,13 @@ TEST(Segment, RoundTripWithSackAndDss) {
   ASSERT_TRUE(out.dss.has_value());
   EXPECT_EQ(out.dss->dsn, 987654321u);
   EXPECT_TRUE(out.has(kFlagDataFin));
-  EXPECT_EQ(out.payload.size(), 1400u);
+  EXPECT_TRUE(std::ranges::equal(out.payload, payload));
 }
 
 TEST(Segment, TruncatedInputRejected) {
   TcpSegment s;
-  s.payload.assign(100, 1);
+  const std::vector<std::uint8_t> payload(100, 1);
+  s.payload = payload;
   BufWriter w;
   EncodeSegment(s, w);
   for (std::size_t cut : {std::size_t{1}, std::size_t{10}, std::size_t{25},
@@ -78,8 +82,7 @@ TEST(Segment, WireSizeRealistic) {
   // little; with SACK+DSS options it grows accordingly.
   TcpSegment s;
   s.window = 16 * 1024 * 1024;
-  s.payload.assign(1400, 0);
-  const std::size_t base = SegmentWireSize(s) - s.payload.size();
+  const std::size_t base = SegmentHeaderSize(s);
   EXPECT_GE(base, 20u);
   EXPECT_LE(base, 32u);
 }
@@ -95,7 +98,8 @@ TEST(TcpRtt, Rfc6298Smoothing) {
 
 // ---------------------------------------------------------------------------
 // Subflow harness: two subflows wired back-to-back through simulator
-// events with a configurable one-way delay and a drop filter.
+// events with a configurable one-way delay and a drop filter. Segments
+// cross as encoded bytes, as they do between endpoints.
 
 class LoopbackHost : public SubflowHost {
  public:
@@ -104,7 +108,8 @@ class LoopbackHost : public SubflowHost {
   // Wiring.
   Subflow* peer = nullptr;
   Duration one_way_delay = 5 * kMillisecond;
-  std::function<bool(const TcpSegment&)> drop_filter;  // true = drop
+  /// Sees each segment as the peer would decode it; true = drop.
+  std::function<bool(const TcpSegment&)> drop_filter;
 
   // Observations.
   std::vector<std::uint8_t> stream_data;  // the "connection stream" we own
@@ -131,19 +136,28 @@ class LoopbackHost : public SubflowHost {
     ++timeout_events;
     last_outstanding = std::move(out);
   }
-  void ReadStream(std::uint64_t dsn, std::span<std::uint8_t> out) override {
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      out[i] = stream_data[dsn + i];
-    }
-  }
   std::uint64_t AdvertisedWindow() override { return 16 * 1024 * 1024; }
   std::uint64_t ConnectionDataAck() override { return 0; }
-  void EmitSegment(Subflow&, TcpSegment&& segment) override {
-    if (drop_filter && drop_filter(segment)) return;
-    sim_.Schedule(one_way_delay,
-                  [this, segment = std::move(segment)]() mutable {
-                    if (peer != nullptr) peer->OnSegment(segment);
-                  });
+  void EmitSegment(Subflow&, const TcpSegment& segment, std::uint64_t dsn,
+                   std::size_t payload_size) override {
+    BufWriter wire;
+    EncodeSegmentHeader(segment, payload_size, wire);
+    const auto payload = wire.AppendSpan(payload_size);
+    std::copy_n(stream_data.begin() + static_cast<std::ptrdiff_t>(dsn),
+                payload_size, payload.begin());
+    if (drop_filter) {
+      BufReader reader(wire.span());
+      TcpSegment sent;
+      EXPECT_TRUE(DecodeSegment(reader, sent));
+      if (drop_filter(sent)) return;
+    }
+    sim_.Schedule(one_way_delay, [this, bytes = wire.Take()] {
+      BufReader reader(bytes);
+      TcpSegment arrived;
+      if (peer != nullptr && DecodeSegment(reader, arrived)) {
+        peer->OnSegment(arrived);
+      }
+    });
   }
 
  private:
@@ -277,9 +291,9 @@ TEST(SubflowData, SackLimitedToThreeBlocks) {
     const std::uint64_t index = (s.seq - 1) / 1400;
     return index % 2 == 0 && s.seq < 14000;  // first transmission only
   };
-  std::vector<TcpSegment> acks;
+  std::size_t max_blocks = 0;
   pair.server_host.drop_filter = [&](const TcpSegment& s) {
-    acks.push_back(s);
+    max_blocks = std::max(max_blocks, s.sacks.size());
     return false;
   };
   for (int i = 0; i < 12; ++i) {
@@ -288,10 +302,6 @@ TEST(SubflowData, SackLimitedToThreeBlocks) {
   pair.sim.Run(1 * kSecond);
   // The receiver generated SACK-bearing acks, capped at 3 blocks even
   // though there were ~6 holes.
-  std::size_t max_blocks = 0;
-  for (const auto& ack : acks) {
-    max_blocks = std::max(max_blocks, ack.sacks.size());
-  }
   EXPECT_GE(max_blocks, 2u);
   EXPECT_LE(max_blocks, 3u);
 }
