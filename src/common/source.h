@@ -30,7 +30,8 @@ std::uint8_t PatternByte(std::uint32_t id, ByteCount offset);
 
 /// How many bytes of `data` differ from the pattern of stream `id` at
 /// [offset, offset + data.size()): exactly what comparing each byte with
-/// PatternByte counts, at the cost of a bulk fill and a memcmp.
+/// PatternByte counts, at the cost of PatternSource::Read's vector kernel
+/// with each block compared as it is made.
 std::size_t CountPatternMismatches(std::uint32_t id, ByteCount offset,
                                    std::span<const std::uint8_t> data);
 

@@ -209,6 +209,87 @@ TEST(PatternSource, BulkReadMatchesPatternByte) {
   }
 }
 
+// PatternByte's mix, restated: byte = (offset * kStep + id * kSalt) >> 32.
+constexpr std::uint64_t kStep = 0x9E3779B97F4A7C15ULL;
+constexpr std::uint64_t kSalt = 0xBF58476D1CE4E5B9ULL;
+// kStep is odd, so it has an inverse mod 2^64 (Newton's iteration doubles
+// the correct low bits from the 3 that any odd number gets right).
+constexpr std::uint64_t kStepInverse = [] {
+  std::uint64_t inverse = kStep;
+  for (int i = 0; i < 5; ++i) inverse *= 2 - kStep * inverse;
+  return inverse;
+}();
+static_assert(kStep * kStepInverse == 1);
+
+// The offset at which stream `id`'s byte `index` of a span has mix `x`.
+ByteCount OffsetForMix(std::uint32_t id, std::uint64_t x, std::size_t index) {
+  return ByteCount{(x - index * kStep - id * kSalt) * kStepInverse};
+}
+
+TEST(PatternSource, FillExactAtEveryCarryBoundary) {
+  // The bulk kernel takes byte j of a 16-byte block from the block's mix x
+  // as (x >> 32) + dh_j plus the carry lo > ~dl_j (lo = low32(x), j * kStep
+  // = dh_j * 2^32 + dl_j), and steps to the next block with a carry when
+  // the low word wraps past 2^32. Random offsets hit neither edge exactly,
+  // so this solves for offsets that put a block's low word one below,
+  // exactly on and one above each of the 16 thresholds, and the wrap into
+  // the second block and into the last whole block of a span. Read and
+  // CountPatternMismatches must both agree with PatternByte there.
+  Rng rng(0xCA9915);
+  std::vector<std::uint8_t> got;
+  std::vector<std::uint8_t> expected;
+  // Checks the `len` bytes from the offset that gives block `block` the
+  // mix x, after flipping byte `watched` for the second count.
+  const auto check = [&](std::uint32_t id, std::uint64_t x, std::size_t block,
+                         std::size_t len, std::size_t watched) {
+    const ByteCount offset = OffsetForMix(id, x, 16 * block);
+    // The restated mix is PatternByte's: the block starts on x.
+    ASSERT_EQ(PatternByte(id, offset + 16 * block),
+              static_cast<std::uint8_t>(x >> 32));
+    expected.resize(len);
+    for (std::size_t i = 0; i < len; ++i) {
+      expected[i] = PatternByte(id, offset + i);
+    }
+    got.assign(len, 0);
+    PatternSource(id, offset + len).Read(offset, got);
+    ASSERT_EQ(got, expected) << "id " << id << " offset " << offset.value()
+                             << " len " << len;
+    ASSERT_EQ(CountPatternMismatches(id, offset, expected), 0u)
+        << "id " << id << " offset " << offset.value() << " len " << len;
+    expected[watched] ^= 1;
+    ASSERT_EQ(CountPatternMismatches(id, offset, expected), 1u)
+        << "id " << id << " offset " << offset.value() << " len " << len;
+  };
+  constexpr std::uint32_t kIds[] = {0, 0x715, 0xFFFFFFFF};
+  constexpr std::size_t kLens[] = {16, 31, 33, 200, 1350};
+  for (const std::uint32_t id : kIds) {
+    for (const std::size_t len : kLens) {
+      const std::size_t blocks = len / 16;
+      for (const std::size_t block : {std::size_t{0}, blocks / 2, blocks - 1}) {
+        for (std::size_t j = 0; j < 16; ++j) {
+          const auto threshold = ~static_cast<std::uint32_t>(j * kStep);
+          for (const std::uint32_t delta : {0xFFFFFFFFu, 0u, 1u}) {
+            const std::uint64_t x = (rng.NextU64() << 32) | (threshold + delta);
+            check(id, x, block, len, 16 * block + j);
+          }
+        }
+      }
+      if (blocks < 2) continue;
+      // The low word at the start of the second and of the last whole
+      // block: the last value the step reaches without wrapping, and the
+      // first two it reaches by wrapping past 2^32.
+      for (const std::size_t block : {std::size_t{1}, blocks - 1}) {
+        for (const std::uint32_t low : {0xFFFFFFFFu, 0u, 1u}) {
+          const std::uint64_t x = (rng.NextU64() << 32) | low;
+          const auto before = static_cast<std::uint32_t>(x - 16 * kStep);
+          ASSERT_EQ(before > low, low != 0xFFFFFFFFu);
+          check(id, x, block, len, 16 * block);
+        }
+      }
+    }
+  }
+}
+
 // The per-byte reference the bulk checker must agree with.
 std::size_t CountMismatchesPerByte(std::uint32_t id, ByteCount offset,
                                    std::span<const std::uint8_t> data) {
